@@ -107,20 +107,43 @@ def load_vector(mesh: Mesh, source: Callable) -> np.ndarray:
     return b
 
 
+def _splu(block, permc_spec: str):
+    # threshold pivoting keeps the diagonal pivots of the near-symmetric
+    # P1 blocks, so the column order decides the fill
+    return spla.splu(block.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.1,
+                     options=dict(SymmetricMode=True))
+
+
 def _laplace_factor(mesh: Mesh):
+    """Laplace LU of the interior block, its boundary coupling, and the
+    interior vertices in the LU's fill-reducing order.
+
+    Every interior block on the mesh has the P1 pattern of this one, so
+    its minimum-degree ordering on A^T + A serves them all.
+    """
     if "laplace_lu" not in mesh._cache:
         K = assemble_linear(mesh, np.broadcast_to(np.eye(2), (len(mesh.triangles), 2, 2)))
         ii = mesh.interior_idx
         bb = mesh.boundary_loop
-        lu = spla.splu(K[ii][:, ii].tocsc())
-        mesh._cache["laplace_lu"] = (lu, K[ii][:, bb])
+        lu = _splu(K[ii][:, ii], "MMD_AT_PLUS_A")
+        mesh._cache["laplace_lu"] = (lu, K[ii][:, bb], ii[np.argsort(lu.perm_c)])
     return mesh._cache["laplace_lu"]
+
+
+def factor_interior(mesh: Mesh, A: sp.spmatrix):
+    """LU of the interior block of a full-mesh matrix in the mesh's order.
+
+    Returns (lu, order): ``lu`` factors ``A[order][:, order]``, so
+    right-hand sides are taken, and solutions scattered, at ``order``.
+    """
+    order = _laplace_factor(mesh)[2]
+    return _splu(A[order][:, order], "NATURAL"), order
 
 
 def harmonic_extension(mesh: Mesh, f) -> np.ndarray:
     """Discrete harmonic extension of boundary data (Newton warm start)."""
     fb = boundary_values(mesh, f)
-    lu, K_ib = _laplace_factor(mesh)
+    lu, K_ib, _ = _laplace_factor(mesh)
     u = np.zeros(len(mesh.vertices))
     u[mesh.boundary_loop] = fb
     if len(mesh.interior_idx):
@@ -176,12 +199,12 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
         if rnorm <= tol * scale + atol:
             break
         J = assemble_jacobian(cond, mesh, u)
-        lu = spla.splu(J[ii][:, ii].tocsc())
-        du = lu.solve(-R[ii])
+        lu, order = factor_interior(mesh, J)
+        du = lu.solve(-R[order])
         alpha = 1.0
         for _ in range(12):
             u_try = u.copy()
-            u_try[ii] += alpha * du
+            u_try[order] += alpha * du
             R_try, scale_try = assemble_residual(cond, mesh, u_try, source)
             r_try = np.linalg.norm(R_try[ii])
             if r_try <= (1.0 - 1e-4 * alpha) * rnorm:

@@ -53,7 +53,6 @@ class RunConfig:
     width_factor: float = 1.0
     nyquist_nodes: int = 10
     newton_tol: float = 1e-10
-    fit_threshold: float = 0.05
     pi1: float = 1.0
     big_n: float = 10.0
     structural_s_range: tuple = (-2.0, 2.0)
@@ -67,7 +66,7 @@ class RunConfig:
     jobs: int = 1
 
     _FLOAT = {"radius", "h", "radius_fraction", "r_max", "width_factor", "newton_tol",
-              "fit_threshold", "pi1", "big_n", "structural_p_max"}
+              "pi1", "big_n", "structural_p_max"}
     _INT = {"n_directions", "n_radii", "nyquist_nodes", "seed", "jobs"}
     _TUPLE_FLOAT = {"s_values", "tau_ladder", "convergence_h", "structural_s_range"}
     _TUPLE_STR = {"stages"}
@@ -120,7 +119,7 @@ def validate_config(cfg: RunConfig):
     if cfg.regime == "decay" and "reconstruction" in cfg.stages and cfg.r_max is None:
         raise ConfigError("decay regime needs r_max")
     for name, v in (("newton_tol", cfg.newton_tol), ("width_factor", cfg.width_factor),
-                    ("fit_threshold", cfg.fit_threshold), ("pi1", cfg.pi1)):
+                    ("pi1", cfg.pi1)):
         if v <= 0:
             raise ConfigError(f"{name} must be positive")
     if not cfg.tau_ladder or any(t <= 0 for t in cfg.tau_ladder):
@@ -249,14 +248,14 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
         return name in cfg.stages
 
     def log_stage(name, ok, details, t0):
-        report.stages.append(StageResult(name, ok, details, time.time() - t0))
+        report.stages.append(StageResult(name, ok, details, time.perf_counter() - t0))
         if echo:
             echo(f"[{'PASS' if ok else 'FAIL'}] {name}")
         return ok
 
     # -- structural -------------------------------------------------------
     if stage("structural"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = check_structural_conditions(
             cond, cfg.structural_s_range,
             (0.0, cfg.r_max if cfg.regime == "decay" and cfg.r_max else cfg.structural_p_max))
@@ -273,7 +272,7 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
     # -- mesh ---------------------------------------------------------------
     if stage("mesh") or stage("convergence") or stage("linearization") \
             or stage("geometric") or stage("reconstruction") or cfg.jet_batch:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             mesh = build_disk_mesh(cfg.radius, cfg.h)
         except Exception as exc:
@@ -292,7 +291,7 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
 
     # -- convergence --------------------------------------------------------
     if stage("convergence"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         hs = tuple(dict.fromkeys(tuple(cfg.convergence_h) + (cfg.h,)))
         errs = []
         for h in hs:
@@ -311,7 +310,7 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
 
     # -- linearization ------------------------------------------------------
     if stage("linearization"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         s0 = float(cfg.s_values[0])
         fb = s0 + 0.2 * mesh.vertices[mesh.boundary_loop, 0]
         hb = np.cos(2.0 * np.arctan2(mesh.vertices[mesh.boundary_loop, 1],
@@ -333,7 +332,7 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
 
     # -- geometric ----------------------------------------------------------
     if stage("geometric"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         s0 = float(cfg.s_values[0])
         fb = s0 + 0.2 * mesh.vertices[mesh.boundary_loop, 0]
         base = solve_dirichlet(cond, mesh, fb, tol=cfg.newton_tol)
@@ -372,7 +371,7 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
 
     # -- jet batch ----------------------------------------------------------
     if cfg.jet_batch:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rows = run_jet_batch(cond, mesh, cfg.jet_batch, pi1=cfg.pi1, big_n=cfg.big_n,
                              newton_tol=cfg.newton_tol)
         write_csv(out / "jets.csv",
@@ -383,7 +382,7 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
 
     # -- reconstruction -----------------------------------------------------
     if stage("reconstruction"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         grid = reconstruct(cond, mesh, cfg.s_values,
                            PolarGrid(n_directions=cfg.n_directions, n_radii=cfg.n_radii,
                                      radius_fraction=cfg.radius_fraction, r_max=cfg.r_max),

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from .conductivity import ConductivitySpec
 from .forward import (DiscreteSolution, FluxDensity, SolveError, assemble_jacobian,
-                      assemble_linear, boundary_values)
+                      assemble_linear, boundary_values, factor_interior)
 from .geometry import Mesh
 
 
@@ -26,9 +26,9 @@ class LinearizedOperator:
     def __init__(self, mesh: Mesh, J_full):
         self.mesh = mesh
         self.J = J_full.tocsr()
-        ii, bb = mesh.interior_idx, mesh.boundary_loop
-        self._J_ib = self.J[ii][:, bb].tocsr()
-        self._lu = spla.splu(self.J[ii][:, ii].tocsc())
+        # interior rows and columns in the mesh's fill-reducing order
+        self._lu, self._order = factor_interior(mesh, self.J)
+        self._J_ib = self.J[self._order][:, mesh.boundary_loop].tocsr()
         self._cond_est = None
 
     @classmethod
@@ -52,9 +52,12 @@ class LinearizedOperator:
         v[mesh.boundary_loop] = hb
         rhs = -self._J_ib @ hb
         if np.iscomplexobj(hb):
-            v[mesh.interior_idx] = self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
+            # real and imaginary parts as one two-column solve; the
+            # transpose is the column-major layout SuperLU reads uncopied
+            x = self._lu.solve(np.vstack((rhs.real, rhs.imag)).T)
+            v[self._order] = x[:, 0] + 1j * x[:, 1]
         else:
-            v[mesh.interior_idx] = self._lu.solve(rhs)
+            v[self._order] = self._lu.solve(rhs)
         return v
 
     def flux_coeffs(self, v) -> np.ndarray:
@@ -67,9 +70,8 @@ class LinearizedOperator:
     def condition_estimate(self) -> float:
         """1-norm condition estimate of the interior block (solvability proxy)."""
         if self._cond_est is None:
-            ii = self.mesh.interior_idx
-            A = self.J[ii][:, ii]
-            n = len(ii)
+            A = self.J[self._order][:, self._order]
+            n = len(self._order)
             inv = spla.LinearOperator((n, n), matvec=self._lu.solve,
                                       rmatvec=lambda x: self._lu.solve(x, trans="T"))
             self._cond_est = float(spla.onenormest(A) * spla.onenormest(inv))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .barriers import JetRequest, prescribe_jet
 from .conductivity import ConductivitySpec, jet_radius
-from .forward import SolveError, solve_dirichlet
+from .forward import SolveError, _laplace_factor, solve_dirichlet
 from .geometry import BoundaryFrame, Mesh, boundary_frame_at
 from .linearized import LinearizedOperator
 
@@ -412,6 +412,9 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
+        # every factorization of every chain uses the mesh's interior
+        # order: build it before the threads share the mesh cache
+        _laplace_factor(mesh)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(run_chain, tasks))
     else:

@@ -40,6 +40,12 @@ def test_parse_errors_carry_line_and_key():
         parse_config("h = abc")
 
 
+def test_parse_rejects_fit_threshold():
+    # the symbol fit gate is fixed in extract_symbol; no key can move it
+    with pytest.raises(ConfigError, match="line 1: unknown key 'fit_threshold'"):
+        parse_config("fit_threshold = 0.05")
+
+
 def test_validation_errors():
     with pytest.raises(ConfigError, match="h < radius"):
         parse_config("h = 2.0\nradius = 1.0")
@@ -167,13 +173,22 @@ def test_load_config_file(tmp_path):
 
 
 def test_reconstruct_jobs_deterministic():
-    from qcond.conductivity import preset_constant
+    from qcond.conductivity import preset_constant, preset_p_lorentz
     from qcond.geometry import build_disk_mesh
     from qcond.recovery import PolarGrid, reconstruct
+
+    def samples(grid):
+        return [(s.s, tuple(s.p), s.a_hat, s.status) for s in grid.samples]
+
+    # warm cache: the jobs=1 run fills the shared mesh cache first
     mesh = build_disk_mesh(1.0, 0.05)
     cond = preset_constant(1.0)
     grids = [reconstruct(cond, mesh, (0.0,), PolarGrid(n_directions=3, n_radii=2),
                          jobs=j) for j in (1, 3)]
-    a1 = [(s.s, tuple(s.p), s.a_hat, s.status) for s in grids[0].samples]
-    a2 = [(s.s, tuple(s.p), s.a_hat, s.status) for s in grids[1].samples]
-    assert a1 == a2
+    assert samples(grids[0]) == samples(grids[1])
+    # cold cache: each run starts on a fresh mesh, so the threads of the
+    # jobs=2 run meet a mesh whose interior order is not built yet
+    cond = preset_p_lorentz(0.2)
+    grids = [reconstruct(cond, build_disk_mesh(1.0, 0.05), (0.0,),
+                         PolarGrid(n_directions=2, n_radii=3), jobs=j) for j in (1, 2)]
+    assert samples(grids[0]) == samples(grids[1])

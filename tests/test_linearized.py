@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
 
-from qcond.conductivity import preset_constant, preset_p_gauss, preset_s_gauss
-from qcond.forward import assemble_jacobian, harmonic_extension, solve_dirichlet
+from qcond.conductivity import make_preset, preset_constant, preset_p_gauss, preset_s_gauss
+from qcond.forward import (assemble_jacobian, factor_interior, harmonic_extension,
+                           solve_dirichlet)
 from qcond.geometry import build_disk_mesh
 from qcond.linearized import (LinearizedOperator, fd_derivative_check, linearized_dn,
                               solve_linearized)
@@ -126,3 +129,34 @@ def test_complex_data_two_real_solves():
     combined = op.dn_flux(h)
     split = op.dn_flux(np.cos(th)) + 1j * op.dn_flux(np.sin(th))
     assert np.abs(combined - split).max() < 1e-12
+
+
+def decay_jacobian(m):
+    # affine data s + p.x solves the equation exactly; |p| = 5 is the top of
+    # the decay-regime grid, where the drift a_s grad u is strongest
+    u = 0.6 + m.vertices @ np.array([3.0, 4.0])
+    return assemble_jacobian(make_preset("decay_mix(0.2,0.05,0.1)"), m, u)
+
+
+def nonsymmetric_fields(m):
+    M = np.array([[1.3, 0.4 + 0.3], [0.4 - 0.3, 0.9]])
+    return LinearizedOperator.from_fields(m, M, np.array([0.5, -0.2])).J
+
+
+@pytest.mark.parametrize("block", [decay_jacobian, nonsymmetric_fields])
+def test_factor_interior_residual_fill_and_order(block):
+    m = build_disk_mesh(1.0, 0.05)
+    J = block(m)
+    ii, bb = m.interior_idx, m.boundary_loop
+    lu, order = factor_interior(m, J)
+    assert np.array_equal(np.sort(order), ii)
+    colamd = spla.splu(J[ii][:, ii].tocsc())
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    A = J[order][:, order]
+    b = np.random.default_rng(3).normal(size=len(ii))
+    assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+    # complex boundary data: the interior rows of J v vanish
+    op = LinearizedOperator(m, J)
+    h = np.exp(3j * boundary_angles(m))
+    v = op.solve(h)
+    assert np.linalg.norm((J @ v)[ii]) <= 1e-12 * np.linalg.norm(J[ii][:, bb] @ h)
