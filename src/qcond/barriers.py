@@ -19,7 +19,7 @@ import numpy as np
 
 from .conductivity import (ConductivitySpec, evaluate_with_derivatives, jet_radius,
                            linearized_conductivity)
-from .forward import boundary_jet_of, solve_dirichlet
+from .forward import DiscreteSolution, boundary_jet_of, solve_dirichlet
 from .geometry import BoundaryFrame, Mesh, normalize_above_origin
 
 
@@ -167,7 +167,7 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
                   tol_jet: Optional[float] = None, max_solves: int = 40,
                   newton_tol: float = 1e-10,
                   t_hint: Optional[float] = None,
-                  u_hint: Optional[np.ndarray] = None) -> JetResult:
+                  warm_start: Optional[DiscreteSolution] = None) -> JetResult:
     """Construct boundary data whose solution attains the requested jet.
 
     The data is the trace of a one-parameter barrier family
@@ -176,6 +176,9 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
     comparison principle.  The root in t is located by safeguarded
     regula falsi (Illinois) inside the comparison bracket; at the
     bracket endpoints the family member is an exact sub/supersolution.
+    Each Dirichlet solve is warm-started from the previous one, the first
+    from ``warm_start`` (a solution on this mesh, such as the previous
+    jet's base).
     """
     frame = request.frame
     p = np.asarray(request.p, dtype=float)
@@ -207,18 +210,17 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
         g_fam = h_fam * np.expm1(yb[:, 1] / h_fam)
 
     solves = 0
-    u_prev = u_hint
+    prev = warm_start
     cache = {}
 
     def achieved(t: float) -> float:
-        nonlocal solves, u_prev
+        nonlocal solves, prev
         if t in cache:
             return cache[t]
         f_t = f_base + t * g_fam
-        sol = solve_dirichlet(cond, mesh, f_t, tol=newton_tol,
-                              initial_guess=None if u_prev is None else u_prev.copy())
+        sol = solve_dirichlet(cond, mesh, f_t, tol=newton_tol, warm_start=prev)
         solves += 1
-        u_prev = sol.u
+        prev = sol
         s_a, p_a = boundary_jet_of(sol, frame)
         cache[t] = (float(-frame.nu @ p_a), sol, f_t, s_a, p_a)
         return cache[t]

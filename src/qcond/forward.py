@@ -50,6 +50,31 @@ def coefficient_fields(cond: ConductivitySpec, mesh: Mesh, u: np.ndarray):
     return a, grad, M, w
 
 
+def _p1_pattern(mesh: Mesh):
+    """CSR pattern of the P1 stiffness and the scatter map into it.
+
+    Entry (t, i, j) of the flattened (T, 3, 3) element blocks lands in
+    slot ``scatter[9 t + 3 i + j]`` of the CSR data, so assembly is one
+    ``np.bincount``.  ``_laplace_factor`` builds it with the Laplace LU.
+    """
+    if "p1_pattern" not in mesh._cache:
+        tri = mesh.triangles
+        n = len(mesh.vertices)
+        rows = np.repeat(tri, 3, axis=1).ravel()
+        cols = np.tile(tri, (1, 3)).ravel()
+        # scipy's COO->CSR conversion finds the pattern with less scratch
+        # memory than np.unique with an inverse, whose temporaries would
+        # set the peak RSS of a fine mesh's set-up
+        P = sp.csr_matrix((np.ones(len(rows), dtype=np.float32), (rows, cols)), shape=(n, n))
+        P.sum_duplicates()
+        slot_keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(P.indptr)) * n + P.indices
+        pattern = (P.indices, P.indptr, np.searchsorted(slot_keys, rows.astype(np.int64) * n + cols))
+        for a in pattern:
+            a.flags.writeable = False
+        mesh._cache["p1_pattern"] = pattern
+    return mesh._cache["p1_pattern"]
+
+
 def assemble_linear(mesh: Mesh, M: np.ndarray, w: Optional[np.ndarray] = None) -> sp.csr_matrix:
     """Stiffness of v -> -div(M grad v + w v) with per-triangle M, w.
 
@@ -57,14 +82,18 @@ def assemble_linear(mesh: Mesh, M: np.ndarray, w: Optional[np.ndarray] = None) -
     """
     g = mesh.hat_gradients
     area = mesh.areas
-    blocks = np.einsum("t,tik,tkl,tjl->tij", area, g, M, g)
+    # batched matmul is several times faster on a contiguous right operand
+    blocks = area[:, None, None] * (g @ M @ np.ascontiguousarray(g.transpose(0, 2, 1)))
     if w is not None:
-        blocks = blocks + (area / 3.0)[:, None, None] * np.einsum("tk,tik->ti", w, g)[:, :, None] * np.ones((1, 1, 3))
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
+        blocks += ((area / 3.0)[:, None] * (g @ w[:, :, None])[:, :, 0])[:, :, None]
+    indices, indptr, scatter = _p1_pattern(mesh)
     n = len(mesh.vertices)
-    return sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(n, n))
+    data = np.bincount(scatter, weights=blocks.ravel(), minlength=len(indices))
+    A = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
+    # sorted and duplicate-free by construction: scipy need not check, and
+    # never sorts the shared read-only pattern in place
+    A.has_canonical_format = True
+    return A
 
 
 def assemble_residual(cond: ConductivitySpec, mesh: Mesh, u: np.ndarray,
@@ -81,8 +110,7 @@ def assemble_residual(cond: ConductivitySpec, mesh: Mesh, u: np.ndarray,
     a, grad, _, _ = coefficient_fields(cond, mesh, u)
     flux = a[:, None] * grad
     r_loc = np.einsum("t,tk,tik->ti", mesh.areas, flux, mesh.hat_gradients)
-    R = np.zeros(len(mesh.vertices))
-    np.add.at(R, mesh.triangles.ravel(), r_loc.ravel())
+    R = np.bincount(mesh.triangles.ravel(), weights=r_loc.ravel(), minlength=len(mesh.vertices))
     if source is not None:
         R += load_vector(mesh, source)
     scale = float(np.sqrt(np.sum(mesh.areas * np.sum(flux * flux, axis=1))))
@@ -102,9 +130,7 @@ def load_vector(mesh: Mesh, source: Callable) -> np.ndarray:
     gvals = np.asarray(source(mids.reshape(-1, 2)), dtype=float).reshape(mids.shape[:2])
     # hat_i = 1/2 on the two midpoints adjacent to vertex i, 0 opposite
     loc = (mesh.areas / 3.0)[:, None] * 0.5 * (gvals + np.roll(gvals, 1, axis=1))
-    b = np.zeros(len(mesh.vertices))
-    np.add.at(b, mesh.triangles.ravel(), loc.ravel())
-    return b
+    return np.bincount(mesh.triangles.ravel(), weights=loc.ravel(), minlength=len(mesh.vertices))
 
 
 def _splu(block, permc_spec: str):
@@ -119,7 +145,9 @@ def _laplace_factor(mesh: Mesh):
     interior vertices in the LU's fill-reducing order.
 
     Every interior block on the mesh has the P1 pattern of this one, so
-    its minimum-degree ordering on A^T + A serves them all.
+    its minimum-degree ordering on A^T + A serves them all.  Assembling
+    the Laplacian builds that pattern too, so one call here readies the
+    mesh for every later assembly and factorization.
     """
     if "laplace_lu" not in mesh._cache:
         K = assemble_linear(mesh, np.broadcast_to(np.eye(2), (len(mesh.triangles), 2, 2)))
@@ -153,7 +181,13 @@ def harmonic_extension(mesh: Mesh, f) -> np.ndarray:
 
 @dataclass
 class DiscreteSolution:
-    """Converged FEM solution with its boundary data and diagnostics."""
+    """Converged FEM solution with its boundary data and diagnostics.
+
+    ``lu`` factors an interior block near this solution's Jacobian, in
+    the mesh order of ``factor_interior``: the last preconditioner of its
+    Newton steps, or the exact LU ``LinearizedOperator.at_base`` leaves
+    on it.  A solve warm-started from this one preconditions with it.
+    """
     mesh: Mesh
     cond: ConductivitySpec
     u: np.ndarray
@@ -162,45 +196,104 @@ class DiscreteSolution:
     residual_norm: float
     converged: bool
     source: Optional[Callable] = None
-    jacobian: Optional[sp.csr_matrix] = field(default=None, repr=False)
+    factorizations: int = 0
+    krylov_iters: int = 0
+    lu: Optional[spla.SuperLU] = field(default=None, repr=False)
     history: list = field(default_factory=list, repr=False)
+
+
+# A Newton step first solves J du = -R by GMRES preconditioned with the
+# solve's current LU.  It must bring |J du + R| below KRYLOV_TARGET times
+# the Newton stopping threshold within KRYLOV_MAX_ITER iterations, which
+# leaves the Newton iterates those of exact steps; else the step factors
+# its own block, and that LU preconditions the rest of the solve.
+KRYLOV_TARGET = 1e-2
+KRYLOV_MAX_ITER = 12
+
+
+def _gmres(A: sp.spmatrix, b: np.ndarray, lu, target: float):
+    """Right-preconditioned GMRES for A x = b from x = 0.
+
+    ``lu`` factors a matrix near A.  Stops once the Arnoldi residual
+    estimate reaches ``target`` or after KRYLOV_MAX_ITER iterations, and
+    returns (x, iterations).
+    """
+    m = KRYLOV_MAX_ITER
+    beta = np.linalg.norm(b)
+    V = np.empty((m + 1, len(b)))
+    Z = np.empty((m, len(b)))
+    H = np.zeros((m + 1, m))
+    e1 = np.zeros(m + 1)
+    e1[0] = beta
+    V[0] = b / beta
+    for k in range(m):
+        Z[k] = lu.solve(V[k])
+        w = A @ Z[k]
+        for j in range(k + 1):              # modified Gram-Schmidt
+            H[j, k] = V[j] @ w
+            w -= H[j, k] * V[j]
+        H[k + 1, k] = np.linalg.norm(w)
+        y = np.linalg.lstsq(H[:k + 2, :k + 1], e1[:k + 2], rcond=None)[0]
+        if H[k + 1, k] == 0.0 or np.linalg.norm(H[:k + 2, :k + 1] @ y - e1[:k + 2]) <= target:
+            break
+        V[k + 1] = w / H[k + 1, k]
+    return y @ Z[:k + 1], k + 1
 
 
 def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
                     source: Optional[Callable] = None,
                     tol: float = 1e-10, max_iter: int = 50,
-                    initial_guess: Optional[np.ndarray] = None,
+                    warm_start: Optional[DiscreteSolution] = None,
                     raise_on_fail: bool = True) -> DiscreteSolution:
     """Damped Newton solve of the quasilinear Dirichlet problem.
 
     Boundary data is imposed strongly.  The iteration starts from the
-    discrete harmonic extension of f (or a caller-provided guess) and
-    backtracks on the interior residual norm.  Non-convergence signals
-    data outside the solvable regime; it raises SolveError unless
+    discrete harmonic extension of f, or from the interior of a
+    ``warm_start`` solution on the same mesh, and backtracks on the
+    interior residual norm.  Each step is a Krylov step preconditioned by
+    the warm start's LU when one is at hand (see KRYLOV_TARGET); a cold
+    solve factors on its first step.  Non-convergence signals data
+    outside the solvable regime; it raises SolveError unless
     ``raise_on_fail`` is cleared, in which case the partial state is
     returned with ``converged=False``.
     """
     fb = boundary_values(mesh, f)
     ii = mesh.interior_idx
-    if initial_guess is not None:
-        u = initial_guess.copy()
+    lu = None
+    if warm_start is not None:
+        if warm_start.mesh is not mesh:
+            raise ValueError("solve_dirichlet: the warm start lives on another mesh")
+        u = warm_start.u.copy()
         u[mesh.boundary_loop] = fb
+        lu = warm_start.lu
     else:
         u = harmonic_extension(mesh, fb)
+    order = _laplace_factor(mesh)[2]
 
     R, scale = assemble_residual(cond, mesh, u, source)
     rnorm = np.linalg.norm(R[ii])
     history = [float(rnorm)]
     # roundoff floor: constants make the flux scale vanish identically
     atol = 1e-13 * (1.0 + np.abs(fb).max())
-    J = None
+    factorizations = krylov_iters = 0
     it = 0
     for it in range(1, max_iter + 1):
         if rnorm <= tol * scale + atol:
             break
         J = assemble_jacobian(cond, mesh, u)
-        lu, order = factor_interior(mesh, J)
-        du = lu.solve(-R[order])
+        b = -R[order]
+        du = None
+        if lu is not None:
+            A = J[order][:, order]
+            target = KRYLOV_TARGET * (tol * scale + atol)
+            du, k = _gmres(A, b, lu, target)
+            krylov_iters += k
+            if np.linalg.norm(A @ du - b) > target:
+                du = None
+        if du is None:
+            lu = factor_interior(mesh, J)[0]
+            factorizations += 1
+            du = lu.solve(b)
         alpha = 1.0
         for _ in range(12):
             u_try = u.copy()
@@ -218,12 +311,10 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
     if not converged and raise_on_fail:
         raise SolveError(f"Newton stalled after {it} iterations, "
                          f"residual {rnorm:.3e} vs scale {scale:.3e}")
-    # the loop's J lags one update; the linearization layer needs the
-    # operator at the converged state
-    J = assemble_jacobian(cond, mesh, u)
     return DiscreteSolution(mesh=mesh, cond=cond, u=u, f=fb, newton_iters=it,
                             residual_norm=float(rnorm), converged=converged,
-                            source=source, jacobian=J, history=history)
+                            source=source, factorizations=factorizations,
+                            krylov_iters=krylov_iters, lu=lu, history=history)
 
 
 @dataclass

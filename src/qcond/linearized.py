@@ -3,7 +3,8 @@
 The linearized stiffness at a base solution is the forward Newton
 Jacobian; it is assembled once, factorized, and reused across many
 boundary data (the probe sweep pairs hundreds of right-hand sides with
-one factorization).
+one factorization).  The factorization then stays on the base and
+preconditions the Newton steps of the next solve warm-started from it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,11 @@ class LinearizedOperator:
 
     @classmethod
     def at_base(cls, cond: ConductivitySpec, base: DiscreteSolution) -> "LinearizedOperator":
-        J = base.jacobian if base.jacobian is not None else assemble_jacobian(cond, base.mesh, base.u)
-        return cls(base.mesh, J)
+        """Operator at a converged base; its exact LU is left on the base
+        to precondition the Newton steps of solves warm-started from it."""
+        op = cls(base.mesh, assemble_jacobian(cond, base.mesh, base.u))
+        base.lu = op._lu
+        return op
 
     @classmethod
     def from_fields(cls, mesh: Mesh, M: np.ndarray, w: Optional[np.ndarray] = None) -> "LinearizedOperator":
@@ -127,7 +131,7 @@ def fd_derivative_check(cond: ConductivitySpec, mesh: Mesh, f, h, t_list,
     lin = solve_linearized(cond, base, hb)
     rows = []
     for t in t_list:
-        pert = solve_dirichlet(cond, mesh, fb + t * hb, tol=tol, initial_guess=base.u.copy())
+        pert = solve_dirichlet(cond, mesh, fb + t * hb, tol=tol, warm_start=base)
         quot = (pert.u - base.u) / t
         rows.append((float(t), float(np.abs(quot - lin.v).max())))
     return rows

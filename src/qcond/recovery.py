@@ -344,7 +344,7 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
         status = ["ok"] * len(q_grid)
         symrows = []
         t_hist = []
-        u_prev = None
+        prev = None
         for k, qv in enumerate(q_grid):
             try:
                 if qv == 0.0:
@@ -359,7 +359,7 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
                         t_hint = t_hist[-1]
                     req = JetRequest(frame=frame, s=s, p=qv * frame.tau, regime=regime)
                     res = prescribe_jet(cond, mesh, req, pi1=pi1, big_n=big_n,
-                                        newton_tol=newton_tol, t_hint=t_hint, u_hint=u_prev)
+                                        newton_tol=newton_tol, t_hint=t_hint, warm_start=prev)
 
                     if not res.ok:
                         status[k] = f"jet: {res.message}"
@@ -367,7 +367,9 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
                     t_hist.append(res.t_star)
                     base = res.sol
                     jet = (res.achieved_s, res.achieved_p)
-                u_prev = base.u
+                prev = base
+                # leaves the exact LU at this jet on the base, which
+                # preconditions the next jet's Newton steps
                 op = LinearizedOperator.at_base(cond, base)
                 sym = extract_symbol(op.dn_flux, mesh, frame, taus, jet=jet,
                                      width_factor=width_factor)
@@ -412,8 +414,9 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
-        # every factorization of every chain uses the mesh's interior
-        # order: build it before the threads share the mesh cache
+        # every assembly and factorization of every chain uses the mesh's
+        # P1 pattern and interior order: build both before the threads
+        # share the mesh cache
         _laplace_factor(mesh)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(run_chain, tasks))

@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
+from qcond.barriers import JetRequest, prescribe_jet
 from qcond.conductivity import (evaluate_with_derivatives, linearized_conductivity,
-                                preset_constant, preset_one_plus_s2, preset_p_gauss,
-                                rotate_conductivity)
-from qcond.forward import (SolveError, boundary_jet_of, dn_map, harmonic_extension,
-                           save_flux, save_solution, solve_dirichlet)
+                                make_preset, preset_constant, preset_one_plus_s2,
+                                preset_p_gauss, preset_p_lorentz, rotate_conductivity)
+from qcond.forward import (KRYLOV_MAX_ITER, SolveError, assemble_linear, assemble_residual,
+                           boundary_jet_of, coefficient_fields, dn_map, factor_interior,
+                           harmonic_extension, load_vector, save_flux, save_solution,
+                           solve_dirichlet)
 from qcond.geometry import (Isometry, boundary_frame_at, build_disk_mesh, transform_mesh)
+from qcond.linearized import LinearizedOperator
 
 C1 = preset_constant(1.0)
 PG = preset_p_gauss(0.25)
@@ -112,6 +118,64 @@ def test_newton_failure_reported():
         solve_dirichlet(PG, m, np.cos(2 * th), max_iter=1)
     sol = solve_dirichlet(PG, m, np.cos(2 * th), max_iter=1, raise_on_fail=False)
     assert not sol.converged and sol.residual_norm > 0
+
+
+def test_scatter_assembly_matches_coo_reference():
+    m = build_disk_mesh(1.0, 0.1)
+    tri, g, area = m.triangles, m.hat_gradients, m.areas
+    M = np.broadcast_to(np.array([[1.3, 0.7], [0.1, 0.9]]), (len(tri), 2, 2))
+    w = np.random.default_rng(5).normal(size=(len(tri), 2))
+    blocks = np.einsum("t,tik,tkl,tjl->tij", area, g, M, g)
+    blocks += (area / 3.0)[:, None, None] * np.einsum("tk,tik->ti", w, g)[:, :, None]
+    n = len(m.vertices)
+    ref = sp.csr_matrix((blocks.ravel(), (np.repeat(tri, 3, axis=1).ravel(),
+                                          np.tile(tri, (1, 3)).ravel())), shape=(n, n))
+    A = assemble_linear(m, M, w)
+    assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
+
+    u = 0.3 * np.sin(3.0 * m.vertices[:, 0]) + m.vertices[:, 1] ** 2
+    _, source = manufactured_pair(PG)
+    a, grad, _, _ = coefficient_fields(PG, m, u)
+    r_loc = np.einsum("t,tk,tik->ti", area, a[:, None] * grad, g)
+    R_ref = np.zeros(n)
+    np.add.at(R_ref, tri.ravel(), r_loc.ravel())
+    R, _ = assemble_residual(PG, m, u)
+    assert np.abs(R - R_ref).max() <= 1e-13 * np.abs(R_ref).max()
+    R_src, _ = assemble_residual(PG, m, u, source)
+    assert np.abs(R_src - R - load_vector(m, source)).max() <= 1e-13 * np.abs(R_src).max()
+
+
+def test_warm_start_steps_reuse_the_neighbour_lu():
+    m = build_disk_mesh(1.0, 0.05)
+    cond = preset_p_lorentz(0.2)
+    fr = boundary_frame_at(m, 0.0)
+    base = prescribe_jet(cond, m, JetRequest(frame=fr, s=0.0, p=0.03 * fr.tau)).sol
+    LinearizedOperator.at_base(cond, base)       # leaves the exact LU on the base
+    f = prescribe_jet(cond, m, JetRequest(frame=fr, s=0.0, p=0.035 * fr.tau)).f
+    warm = solve_dirichlet(cond, m, f, warm_start=base)
+    cold = solve_dirichlet(cond, m, f)
+    assert warm.converged and warm.newton_iters > 1
+    assert warm.factorizations == 0 and warm.krylov_iters > 0
+    assert np.abs(warm.u - cold.u).max() <= 1e-10 * np.abs(cold.u).max()
+
+
+def test_warm_start_far_lu_refactors():
+    # decay_mix stays within 20 % of a = 1 and the Laplace LU still meets
+    # the Krylov target; a 10:1 anisotropic Laplacian does not
+    m = build_disk_mesh(1.0, 0.05)
+    cond = make_preset("decay_mix(0.2,0.05,0.1)")
+    fr = boundary_frame_at(m, 0.0)
+    f = prescribe_jet(cond, m, JetRequest(frame=fr, s=0.6, p=5.0 * fr.tau, regime="decay")).f
+    far = solve_dirichlet(C1, m, f)
+    aniso = np.broadcast_to(np.diag([1.0, 10.0]), (len(m.triangles), 2, 2))
+    far.lu = factor_interior(m, assemble_linear(m, aniso))[0]
+    warm = solve_dirichlet(cond, m, f, warm_start=far)
+    cold = solve_dirichlet(cond, m, f)
+    assert warm.converged and warm.factorizations >= 1
+    assert warm.krylov_iters >= KRYLOV_MAX_ITER
+    assert np.abs(warm.u - cold.u).max() <= 1e-10 * np.abs(cold.u).max()
+    with pytest.raises(ValueError, match="another mesh"):
+        solve_dirichlet(cond, build_disk_mesh(1.0, 0.1), lambda x: x[:, 0], warm_start=far)
 
 
 def test_boundary_jet_extraction():

@@ -192,3 +192,23 @@ def test_reconstruct_jobs_deterministic():
     grids = [reconstruct(cond, build_disk_mesh(1.0, 0.05), (0.0,),
                          PolarGrid(n_directions=2, n_radii=3), jobs=j) for j in (1, 2)]
     assert samples(grids[0]) == samples(grids[1])
+
+
+def test_reconstruct_builds_mesh_cache_before_threads(monkeypatch):
+    # every chain starts by looking up its frame; by then the threads must
+    # find the Laplace LU with its interior order and the P1 pattern built
+    from qcond import recovery
+    from qcond.conductivity import preset_p_lorentz
+
+    frame_at = recovery.boundary_frame_at
+    seen = []
+
+    def spy(mesh, theta):
+        seen.append({"laplace_lu", "p1_pattern"} <= set(mesh._cache))
+        return frame_at(mesh, theta)
+
+    monkeypatch.setattr(recovery, "boundary_frame_at", spy)
+    recovery.reconstruct(preset_p_lorentz(0.2), build_disk_mesh(1.0, 0.1), (0.0,),
+                         recovery.PolarGrid(n_directions=2, n_radii=2),
+                         tau_ladder=(2.0, 4.0), jobs=2)
+    assert seen == [True, True]
