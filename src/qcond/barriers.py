@@ -178,7 +178,8 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
     bracket endpoints the family member is an exact sub/supersolution.
     Each Dirichlet solve is warm-started from the previous one, the first
     from ``warm_start`` (a solution on this mesh, such as the previous
-    jet's base).
+    jet's base): it starts from that solution plus the harmonic extension
+    of the data change, so neighbouring data start near their solution.
     """
     frame = request.frame
     p = np.asarray(request.p, dtype=float)

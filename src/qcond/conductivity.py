@@ -97,12 +97,29 @@ def evaluate_with_derivatives(cond: ConductivitySpec, s, p):
                 dp = np.zeros_like(p)
                 dp[..., k] = hp
                 gp[..., k] = (cond.fn(s, p + dp) - cond.fn(s, p - dp)) / (2.0 * hp)
-    bad = ~(np.isfinite(a) & np.isfinite(a_s) & np.all(np.isfinite(gp), axis=-1))
-    if np.any(bad):
+    _reject_nonfinite(cond, s, p, np.isfinite(a) & np.isfinite(a_s)
+                      & np.all(np.isfinite(gp), axis=-1))
+    return np.asarray(a, dtype=float), np.asarray(a_s, dtype=float), gp
+
+
+def evaluate(cond: ConductivitySpec, s, p) -> np.ndarray:
+    """Evaluate a(s, p) alone, vectorized over leading axes.
+
+    For callers that need no derivatives; non-finite output raises
+    ConductivityError as in evaluate_with_derivatives.
+    """
+    s, p = _as_sp(s, p)
+    a = np.asarray(cond.fn(s, p), dtype=float)
+    _reject_nonfinite(cond, s, p, np.isfinite(a))
+    return a
+
+
+def _reject_nonfinite(cond: ConductivitySpec, s, p, finite) -> None:
+    if not np.all(finite):
+        bad = ~finite
         raise ConductivityError(
             f"{cond.name}: non-finite evaluation at s={np.asarray(s)[bad][:1]}, "
             f"p={np.asarray(p)[bad][:1]}")
-    return np.asarray(a, dtype=float), np.asarray(a_s, dtype=float), gp
 
 
 def linearized_conductivity(cond: ConductivitySpec, s, p) -> np.ndarray:
@@ -292,19 +309,32 @@ def jet_radius(cond: ConductivitySpec, s: float, domain_diam: float,
 # preset catalog
 # ---------------------------------------------------------------------------
 
-def _smoothstep(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
-    t = np.asarray(t, dtype=float)
+def _smoothstep_parts(t):
+    """(f, g) with f = e^{-1/t} on t > 0 and g = e^{-1/(1-t)} on t < 1, else 0."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         f = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
         g = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+    return f, g
+
+
+def _smoothstep(t):
+    """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
+    f, g = _smoothstep_parts(np.asarray(t, dtype=float))
     return f / (f + g)
 
 
 def _smoothstep_d(t):
-    """Derivative of _smoothstep (central differences; only used off t=0,1)."""
-    h = 1e-6
-    return (_smoothstep(t + h) - _smoothstep(t - h)) / (2 * h)
+    """Derivative of _smoothstep: f g (1/t^2 + 1/(1-t)^2) / (f+g)^2 on (0, 1).
+
+    It is 0 outside (0, 1), and also where f or g underflows, since the
+    derivative is then below the smallest normal double.
+    """
+    t = np.asarray(t, dtype=float)
+    f, g = _smoothstep_parts(t)
+    fg = f * g
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = fg * (1.0 / t ** 2 + 1.0 / (1.0 - t) ** 2) / (f + g) ** 2
+    return np.where(fg > 0, d, 0.0)
 
 
 def preset_constant(c: float = 1.0) -> ConductivitySpec:

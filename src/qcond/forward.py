@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .conductivity import ConductivitySpec, evaluate_with_derivatives
+from .conductivity import ConductivitySpec, evaluate, evaluate_with_derivatives
 from .geometry import Mesh, BoundaryFrame
 
 
@@ -37,13 +37,18 @@ def boundary_values(mesh: Mesh, f) -> np.ndarray:
     return f
 
 
+def _triangle_state(mesh: Mesh, u: np.ndarray):
+    """Per-triangle (vertex-average u, triangle-constant grad u): the one
+    quadrature point at which every coefficient is evaluated."""
+    ut = u[mesh.triangles]
+    return ut.mean(axis=1), np.einsum("ti,tik->tk", ut, mesh.hat_gradients)
+
+
 def coefficient_fields(cond: ConductivitySpec, mesh: Mesh, u: np.ndarray):
     """Per-triangle (a, M, w): flux matrix M = a I + grad_u (x) grad_p a
     and drift w = a_s grad_u, evaluated at vertex-average u and the
     triangle-constant gradient."""
-    tri = mesh.triangles
-    ubar = u[tri].mean(axis=1)
-    grad = np.einsum("ti,tik->tk", u[tri], mesh.hat_gradients)
+    ubar, grad = _triangle_state(mesh, u)
     a, a_s, gp = evaluate_with_derivatives(cond, ubar, grad)
     M = a[:, None, None] * np.eye(2) + grad[:, :, None] * gp[:, None, :]
     w = a_s[:, None] * grad
@@ -105,9 +110,11 @@ def assemble_residual(cond: ConductivitySpec, mesh: Mesh, u: np.ndarray,
     boundary rows then carry exactly the outward flux pairings.
 
     Returns (R, flux_scale) where flux_scale is the L2 norm of the flux
-    field a grad u, the natural scale for relative tolerances.
+    field a grad u, the natural scale for relative tolerances.  Only the
+    values of a are evaluated, none of its derivatives.
     """
-    a, grad, _, _ = coefficient_fields(cond, mesh, u)
+    ubar, grad = _triangle_state(mesh, u)
+    a = evaluate(cond, ubar, grad)
     flux = a[:, None] * grad
     r_loc = np.einsum("t,tk,tik->ti", mesh.areas, flux, mesh.hat_gradients)
     R = np.bincount(mesh.triangles.ravel(), weights=r_loc.ravel(), minlength=len(mesh.vertices))
@@ -169,7 +176,8 @@ def factor_interior(mesh: Mesh, A: sp.spmatrix):
 
 
 def harmonic_extension(mesh: Mesh, f) -> np.ndarray:
-    """Discrete harmonic extension of boundary data (Newton warm start)."""
+    """Discrete harmonic extension of boundary data: the cold Newton
+    start, and the lift of the data change in a warm one."""
     fb = boundary_values(mesh, f)
     lu, K_ib, _ = _laplace_factor(mesh)
     u = np.zeros(len(mesh.vertices))
@@ -248,14 +256,15 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
     """Damped Newton solve of the quasilinear Dirichlet problem.
 
     Boundary data is imposed strongly.  The iteration starts from the
-    discrete harmonic extension of f, or from the interior of a
-    ``warm_start`` solution on the same mesh, and backtracks on the
-    interior residual norm.  Each step is a Krylov step preconditioned by
-    the warm start's LU when one is at hand (see KRYLOV_TARGET); a cold
-    solve factors on its first step.  Non-convergence signals data
-    outside the solvable regime; it raises SolveError unless
-    ``raise_on_fail`` is cleared, in which case the partial state is
-    returned with ``converged=False``.
+    discrete harmonic extension of f, or, given a ``warm_start`` solution
+    on the same mesh, from that solution plus the harmonic extension of
+    the data change f - warm_start.f, with the boundary values then set
+    to f exactly.  It backtracks on the interior residual norm.  Each
+    step is a Krylov step preconditioned by the warm start's LU when one
+    is at hand (see KRYLOV_TARGET); a cold solve factors on its first
+    step.  Non-convergence signals data outside the solvable regime; it
+    raises SolveError unless ``raise_on_fail`` is cleared, in which case
+    the partial state is returned with ``converged=False``.
     """
     fb = boundary_values(mesh, f)
     ii = mesh.interior_idx
@@ -263,7 +272,9 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
     if warm_start is not None:
         if warm_start.mesh is not mesh:
             raise ValueError("solve_dirichlet: the warm start lives on another mesh")
-        u = warm_start.u.copy()
+        # lifting the data change harmonically leaves no boundary layer
+        # for Newton to remove, as overwriting the boundary alone would
+        u = warm_start.u + harmonic_extension(mesh, fb - warm_start.f)
         u[mesh.boundary_loop] = fb
         lu = warm_start.lu
     else:

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .barriers import JetRequest, prescribe_jet
-from .conductivity import ConductivitySpec, jet_radius
+from .conductivity import ConductivitySpec, _smoothstep, jet_radius
 from .forward import SolveError, _laplace_factor, solve_dirichlet
 from .geometry import BoundaryFrame, Mesh, boundary_frame_at
 from .linearized import LinearizedOperator
@@ -30,15 +30,6 @@ DEFAULT_LADDER = (8.0, 16.0, 32.0, 64.0)
 # ---------------------------------------------------------------------------
 # oscillatory probing
 # ---------------------------------------------------------------------------
-
-def _bump(t):
-    """C-infinity transition equal to 1 at t >= 1 and 0 at t <= 0."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        f = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        g = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return f / (f + g)
-
 
 def probe_width(tau: float, width_factor: float = 1.0) -> float:
     """Default window half-width (arclength): width_factor / sqrt(tau).
@@ -75,7 +66,7 @@ def oscillatory_probe(mesh: Mesh, frame: BoundaryFrame, tau: float,
     arc = mesh.arclength - mesh.arclength[frame.loop_pos]
     per = mesh.perimeter
     arc = (arc + per / 2) % per - per / 2          # signed distance along the loop
-    chi = _bump((W - np.abs(arc)) / (W / 2.0))
+    chi = _smoothstep((W - np.abs(arc)) / (W / 2.0))
     phase = sign * tau * (mesh.vertices[mesh.boundary_loop] - frame.x0) @ frame.tau
     h = chi * np.exp(1j * phase)
     norm_sq = float(np.sum(mesh.vertex_weights * chi * chi))
@@ -317,8 +308,10 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
     radial grid, measures the symbol invariants at each jet, and inverts
     the radial identity.  Per-sample failures are recorded and skipped.
 
-    ``truth`` (defaults to ``cond``) fills the comparison columns; pass
-    ``truth=None`` explicitly via compare_truth for blind runs.
+    ``truth`` fills the comparison columns ``a_true`` and ``rel_err``.
+    It defaults to ``cond``, and ``truth=None`` also compares against
+    ``cond``: there is no blind mode, so every sample is scored against
+    a known model.
     """
     taus = admissible_taus(mesh, tau_ladder, nyquist_nodes)
     if len(taus) < 2:

@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qcond.conductivity import (ConductivityError, ConductivitySpec, antisymmetric_part,
+from qcond.conductivity import (ConductivityError, ConductivitySpec, _smoothstep,
+                                _smoothstep_d, antisymmetric_part,
                                 check_structural_conditions, evaluate_with_derivatives,
                                 jet_radius, linearized_conductivity, make_preset,
                                 preset_constant, preset_decay_mix, preset_one_plus_s2,
-                                preset_p_gauss, preset_s_gauss, preset_sin_slope,
-                                rotate_conductivity)
+                                preset_p_gauss, preset_p_lorentz_tail, preset_s_gauss,
+                                preset_sin_slope, rotate_conductivity)
 
 
 def test_constant_evaluation():
@@ -32,6 +34,27 @@ def test_fd_matches_closed_form():
     assert abs(a_s) < 1e-10
     assert abs(gp[0] - (-2.0 * math.exp(-1.0))) < 1e-6
     assert abs(gp[1]) < 1e-10
+
+
+def test_smoothstep_derivative_closed_form():
+    t = np.linspace(0.01, 0.99, 99)
+    h = 1e-5
+    fd = (_smoothstep(t + h) - _smoothstep(t - h)) / (2 * h)
+    assert np.abs(_smoothstep_d(t) - fd).max() <= 1e-8
+    # f = g at t = 1/2, where the closed form gives 2 exactly and a
+    # difference quotient does not
+    assert _smoothstep_d(0.5) == 2.0
+    assert np.all(_smoothstep_d(np.array([-1.0, 0.0, 1e-200, 1.0, 2.0])) == 0.0)
+
+    # the bump of p_lorentz_tail varies on 0.1 < |p| < 0.15
+    tail = preset_p_lorentz_tail(0.2, 0.3, r0=0.1, w=0.05)
+    rng = np.random.default_rng(4)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 40)
+    P = np.linspace(0.02, 0.2, 40)[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    _, a_s, gp = evaluate_with_derivatives(tail, 0.3, P)
+    _, _, gp_fd = evaluate_with_derivatives(replace(tail, grad=None, fd_step=1e-6), 0.3, P)
+    assert np.all(a_s == 0.0)
+    assert np.abs(gp - gp_fd).max() <= 1e-6 * np.abs(gp).max()
 
 
 def test_nonfinite_rejected():

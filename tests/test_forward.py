@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 import scipy.sparse as sp
 
 from qcond.barriers import JetRequest, prescribe_jet
-from qcond.conductivity import (evaluate_with_derivatives, linearized_conductivity,
-                                make_preset, preset_constant, preset_one_plus_s2,
-                                preset_p_gauss, preset_p_lorentz, rotate_conductivity)
+from qcond.conductivity import (ConductivityError, evaluate_with_derivatives,
+                                linearized_conductivity, make_preset, preset_constant,
+                                preset_one_plus_s2, preset_p_gauss, preset_p_lorentz,
+                                rotate_conductivity)
 from qcond.forward import (KRYLOV_MAX_ITER, SolveError, assemble_linear, assemble_residual,
                            boundary_jet_of, coefficient_fields, dn_map, factor_interior,
                            harmonic_extension, load_vector, save_flux, save_solution,
@@ -145,13 +147,59 @@ def test_scatter_assembly_matches_coo_reference():
     assert np.abs(R_src - R - load_vector(m, source)).max() <= 1e-13 * np.abs(R_src).max()
 
 
-def test_warm_start_steps_reuse_the_neighbour_lu():
+@pytest.mark.parametrize("expr", ["decay_mix(0.2,0.05,0.1)", "p_lorentz(0.2)"])
+def test_residual_evaluates_values_only(expr):
+    m = build_disk_mesh(1.0, 0.025)
+    cond = make_preset(expr)
+    u = 0.3 * np.sin(3.0 * m.vertices[:, 0]) + m.vertices[:, 1] ** 2
+    a, grad, _, _ = coefficient_fields(cond, m, u)
+    flux = a[:, None] * grad
+    r_loc = np.einsum("t,tk,tik->ti", m.areas, flux, m.hat_gradients)
+    R_ref = np.zeros(len(m.vertices))
+    np.add.at(R_ref, m.triangles.ravel(), r_loc.ravel())
+    scale_ref = np.sqrt(np.sum(m.areas * np.sum(flux * flux, axis=1)))
+    # derivatives that are NaN everywhere must not reach the residual
+    R, scale = assemble_residual(replace(cond, grad=lambda s, p: (np.nan, np.nan)), m, u)
+    assert np.abs(R - R_ref).max() <= 1e-14 * np.abs(R_ref).max()
+    assert abs(scale - scale_ref) <= 1e-14 * scale_ref
+    with pytest.raises(ConductivityError):
+        assemble_residual(replace(cond, fn=lambda s, p: np.where(s > 0.5, np.nan, 1.0)), m, u)
+
+
+def test_warm_start_imposes_the_data_bitwise():
+    m = build_disk_mesh(1.0, 0.1)
+    th = np.arctan2(m.vertices[m.boundary_loop, 1], m.vertices[m.boundary_loop, 0])
+    prev = solve_dirichlet(PG, m, np.cos(2 * th))
+    fb = 0.7 * np.cos(2 * th) + 0.1 * np.sin(3 * th) + 0.3
+    warm = solve_dirichlet(PG, m, fb, warm_start=prev)
+    assert warm.converged and np.array_equal(warm.u[m.boundary_loop], fb)
+
+
+def _neighbour_jets(cond, s):
+    """A base solution at jet p = 0.03 tau, carrying its exact LU, and the
+    data of the neighbouring jet p = 0.035 tau."""
     m = build_disk_mesh(1.0, 0.05)
-    cond = preset_p_lorentz(0.2)
     fr = boundary_frame_at(m, 0.0)
-    base = prescribe_jet(cond, m, JetRequest(frame=fr, s=0.0, p=0.03 * fr.tau)).sol
+    base = prescribe_jet(cond, m, JetRequest(frame=fr, s=s, p=0.03 * fr.tau)).sol
     LinearizedOperator.at_base(cond, base)       # leaves the exact LU on the base
-    f = prescribe_jet(cond, m, JetRequest(frame=fr, s=0.0, p=0.035 * fr.tau)).f
+    f = prescribe_jet(cond, m, JetRequest(frame=fr, s=s, p=0.035 * fr.tau)).f
+    return m, base, f
+
+
+def test_warm_start_lift_solves_affine_data_without_a_step():
+    # p_lorentz depends on the gradient only and both jets' data are
+    # affine, so the lifted start is already the solution
+    cond = preset_p_lorentz(0.2)
+    m, base, f = _neighbour_jets(cond, 0.0)
+    warm = solve_dirichlet(cond, m, f, warm_start=base)
+    cold = solve_dirichlet(cond, m, f)
+    assert warm.converged and warm.newton_iters == 1 and warm.krylov_iters == 0
+    assert np.abs(warm.u - cold.u).max() <= 1e-10 * np.abs(cold.u).max()
+
+
+def test_warm_start_steps_reuse_the_neighbour_lu():
+    cond = make_preset("decay_mix(0.2,0.05,0.1)")
+    m, base, f = _neighbour_jets(cond, 0.6)
     warm = solve_dirichlet(cond, m, f, warm_start=base)
     cold = solve_dirichlet(cond, m, f)
     assert warm.converged and warm.newton_iters > 1
