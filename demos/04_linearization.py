@@ -11,8 +11,7 @@ import numpy as np
 from qcond.conductivity import preset_p_gauss
 from qcond.forward import assemble_jacobian, solve_dirichlet
 from qcond.geometry import build_disk_mesh
-from qcond.linearized import (LinearizedOperator, fd_derivative_check, linearized_dn,
-                              solve_linearized)
+from qcond.linearized import LinearizedOperator, fd_derivative_check
 
 cond = preset_p_gauss(0.25)
 mesh = build_disk_mesh(1.0, 0.05)
@@ -37,6 +36,4 @@ print(f"\nlinearized stiffness vs Newton Jacobian: "
       f"max entry gap {np.abs(gap.data).max() if gap.nnz else 0.0:.1e}")
 print(f"interior-block condition estimate: {op.condition_estimate():.2e}")
 
-lin = solve_linearized(cond, base, h, operator=op)
-flux = linearized_dn(cond, lin)
-print(f"linearized flux: total {flux.coeffs.sum():.2e} (divergence form)")
+print(f"linearized flux: total {op.dn_flux(h).sum():.2e} (divergence form)")

@@ -11,7 +11,7 @@ import time
 
 from qcond.conductivity import make_preset
 from qcond.geometry import build_disk_mesh
-from qcond.harness import compare_truth, recovery_rows, write_csv, RECOVERY_HEADER
+from qcond.harness import recovery_rows, write_csv, RECOVERY_HEADER
 from qcond.recovery import PolarGrid, reconstruct
 
 mesh = build_disk_mesh(1.0, 0.05)      # desk-scale demo; acceptance runs h = 0.025
@@ -21,7 +21,7 @@ for expr in ("constant(1)", "s_gauss(0.25)", "p_lorentz(0.2)"):
     cond = make_preset(expr)
     t0 = time.time()
     out = reconstruct(cond, mesh, (-1.0, 0.0, 1.0), grid, jobs=2)
-    stats = compare_truth(out, cond)
+    stats = out.error_stats()
     print(f"{expr:<18} n={stats['n_samples']:<4} failed={stats['n_failed']:<3} "
           f"max={100 * stats['max_rel_err']:5.2f}%  "
           f"median={100 * stats['median_rel_err']:5.2f}%  ({time.time() - t0:.0f}s)")

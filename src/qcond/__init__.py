@@ -18,19 +18,18 @@ from .geometry import (BoundaryFrame, Isometry, Mesh, boundary_frame_at,
                        build_disk_mesh, build_polygon_mesh, load_mesh,
                        normalize_above_origin, save_mesh, transform_mesh)
 from .forward import (DiscreteSolution, FluxDensity, SolveError, boundary_jet_of,
-                      dn_map, harmonic_extension, solve_dirichlet)
+                      dn_map, harmonic_extension, manufactured_solution, solve_dirichlet)
 from .barriers import (Barrier, JetRequest, JetResult, MarginReport, exp_barrier,
                        in_paraboloid, log_barrier, prescribe_jet, verify_one_sided)
-from .linearized import (LinearizedOperator, LinearizedSolve, fd_derivative_check,
-                         linearized_dn, solve_linearized)
-from .geometric import (GeometricData, alpha_tensor, geometric_data,
-                        magnetic_coefficients, metric_from_linearized,
+from .linearized import LinearizedOperator, fd_derivative_check
+from .geometric import (GeometricData, alpha_antisymmetry_residual, alpha_tensor,
+                        geometric_data, magnetic_coefficients, metric_from_linearized,
                         normal_identity_residual, operator_equivalence_residual)
 from .halfspace import decaying_root, halfspace_flux_symbol
 from .recovery import (PolarGrid, RecoveryGrid, SymbolEstimate, extract_symbol,
                        measured_invariants, oscillatory_probe,
                        radial_integration_recovery, reconstruct,
                        recover_from_tangential_matrix, spectrum_of_recovery_matrix)
-from .harness import RunConfig, RunReport, compare_truth, load_config, parse_config, run
+from .harness import RunConfig, RunReport, load_config, parse_config, run
 
 __version__ = "0.1.0"

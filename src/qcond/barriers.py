@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .conductivity import (ConductivitySpec, evaluate_with_derivatives, jet_radius,
-                           linearized_conductivity)
+                           linearized_matrix)
 from .forward import DiscreteSolution, boundary_jet_of, solve_dirichlet
 from .geometry import BoundaryFrame, Mesh, normalize_above_origin
 
@@ -115,8 +115,8 @@ def verify_one_sided(cond: ConductivitySpec, barrier: Barrier, mesh_normalized: 
     u = barrier.value(y)
     du = barrier.gradient(y)
     h22 = barrier.hessian22(y)
-    aij = linearized_conductivity(cond, u, du)
-    _, a_s, _ = evaluate_with_derivatives(cond, u, du)
+    a, a_s, gp = evaluate_with_derivatives(cond, u, du)
+    aij = linearized_matrix(a, gp, du)
     expr = aij[:, 1, 1] * h22 + a_s * np.sum(du * du, axis=-1)
     sgn = 1.0 if barrier.p_n >= 0 else -1.0
     margins = sgn * expr

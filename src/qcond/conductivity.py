@@ -126,10 +126,15 @@ def linearized_conductivity(cond: ConductivitySpec, s, p) -> np.ndarray:
     """Symmetric matrix a I + (1/2)(a_p (x) p + p (x) a_p), shape (..., n, n)."""
     s, p = _as_sp(s, p)
     a, _, gp = evaluate_with_derivatives(cond, s, p)
-    n = p.shape[-1]
-    eye = np.eye(n)
+    return linearized_matrix(a, gp, p)
+
+
+def linearized_matrix(a, gp, p) -> np.ndarray:
+    """The matrix of linearized_conductivity from values (a, grad_p a) at p
+    that evaluate_with_derivatives has already returned."""
+    p = np.asarray(p, dtype=float)
     sym = 0.5 * (gp[..., :, None] * p[..., None, :] + p[..., :, None] * gp[..., None, :])
-    return np.asarray(a)[..., None, None] * eye + sym
+    return np.asarray(a)[..., None, None] * np.eye(p.shape[-1]) + sym
 
 
 def antisymmetric_part(cond: ConductivitySpec, s, gradu) -> np.ndarray:
@@ -228,7 +233,7 @@ def check_structural_conditions(cond: ConductivitySpec, s_range, p_range,
     Sf, Pf = S.ravel(), P.reshape(-1, cond.dim)
 
     a, a_s, gp = evaluate_with_derivatives(cond, Sf, Pf)
-    aij = linearized_conductivity(cond, Sf, Pf)
+    aij = linearized_matrix(a, gp, Pf)
     eig_min = np.linalg.eigvalsh(aij)[..., 0]
     pnorm = np.linalg.norm(Pf, axis=-1)
     gpnorm = np.linalg.norm(gp, axis=-1)

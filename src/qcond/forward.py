@@ -19,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .conductivity import ConductivitySpec, evaluate, evaluate_with_derivatives
+from .conductivity import (ConductivitySpec, evaluate, evaluate_with_derivatives,
+                           linearized_matrix)
 from .geometry import Mesh, BoundaryFrame
 
 
@@ -195,6 +196,8 @@ class DiscreteSolution:
     the mesh order of ``factor_interior``: the last preconditioner of its
     Newton steps, or the exact LU ``LinearizedOperator.at_base`` leaves
     on it.  A solve warm-started from this one preconditions with it.
+    ``flux_coeffs`` are the boundary rows of the residual at ``u``, which
+    the stopping test assembled: the variational flux pairings.
     """
     mesh: Mesh
     cond: ConductivitySpec
@@ -203,7 +206,7 @@ class DiscreteSolution:
     newton_iters: int
     residual_norm: float
     converged: bool
-    source: Optional[Callable] = None
+    flux_coeffs: np.ndarray            # over boundary_loop
     factorizations: int = 0
     krylov_iters: int = 0
     lu: Optional[spla.SuperLU] = field(default=None, repr=False)
@@ -324,7 +327,7 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
                          f"residual {rnorm:.3e} vs scale {scale:.3e}")
     return DiscreteSolution(mesh=mesh, cond=cond, u=u, f=fb, newton_iters=it,
                             residual_norm=float(rnorm), converged=converged,
-                            source=source, factorizations=factorizations,
+                            flux_coeffs=R[mesh.boundary_loop], factorizations=factorizations,
                             krylov_iters=krylov_iters, lu=lu, history=history)
 
 
@@ -347,11 +350,9 @@ class FluxDensity:
         return 0.5 * (self.density + np.roll(self.density, -1))
 
 
-def dn_map(cond: ConductivitySpec, sol: DiscreteSolution) -> FluxDensity:
+def dn_map(sol: DiscreteSolution) -> FluxDensity:
     """Boundary flux density of a converged solution (variational form)."""
-    R, _ = assemble_residual(cond, sol.mesh, sol.u, sol.source)
-    coeffs = R[sol.mesh.boundary_loop]
-    return FluxDensity(sol.mesh, coeffs, coeffs / sol.mesh.vertex_weights)
+    return FluxDensity(sol.mesh, sol.flux_coeffs, sol.flux_coeffs / sol.mesh.vertex_weights)
 
 
 def _tangential_derivative(mesh: Mesh, values: np.ndarray, loop_pos: int) -> float:
@@ -368,8 +369,7 @@ def _tangential_derivative(mesh: Mesh, values: np.ndarray, loop_pos: int) -> flo
     return float(c[1])
 
 
-def boundary_jet_of(sol: DiscreteSolution, frame: BoundaryFrame,
-                    flux: Optional[FluxDensity] = None):
+def boundary_jet_of(sol: DiscreteSolution, frame: BoundaryFrame):
     """Recover the solution jet (s, p) at a boundary frame.
 
     s and the tangential slope come from the boundary data itself; the
@@ -379,9 +379,7 @@ def boundary_jet_of(sol: DiscreteSolution, frame: BoundaryFrame,
     mesh = sol.mesh
     s = float(sol.u[frame.vertex])
     p_t = _tangential_derivative(mesh, sol.u[mesh.boundary_loop], frame.loop_pos)
-    if flux is None:
-        flux = dn_map(sol.cond, sol)
-    rho = float(flux.density[frame.loop_pos])
+    rho = float(dn_map(sol).density[frame.loop_pos])
 
     def a_of(q):
         p = p_t * frame.tau + q * frame.nu
@@ -402,6 +400,28 @@ def boundary_jet_of(sol: DiscreteSolution, frame: BoundaryFrame,
     else:
         raise SolveError("normal-slope fixed point did not converge")
     return s, p_t * frame.tau + q * frame.nu
+
+
+def manufactured_solution(cond: ConductivitySpec):
+    """(u*, source): u* = 0.1 sin(x1) e^{x2} and the forcing under which
+    it solves div(a(u, grad u) grad u) = source; both take points (..., 2)."""
+    def ustar(x):
+        return 0.1 * np.sin(x[..., 0]) * np.exp(x[..., 1])
+
+    def source(x):
+        x = np.asarray(x, dtype=float)
+        u = ustar(x)
+        gx = 0.1 * np.cos(x[..., 0]) * np.exp(x[..., 1])
+        grad = np.stack([gx, u], axis=-1)
+        hess = np.empty(x.shape[:-1] + (2, 2))
+        hess[..., 0, 0] = -u
+        hess[..., 0, 1] = hess[..., 1, 0] = gx
+        hess[..., 1, 1] = u
+        a, a_s, gp = evaluate_with_derivatives(cond, u, grad)
+        aij = linearized_matrix(a, gp, grad)
+        return np.einsum("...ij,...ij->...", aij, hess) + a_s * np.sum(grad * grad, axis=-1)
+
+    return ustar, source
 
 
 def save_solution(sol: DiscreteSolution, path):

@@ -24,13 +24,13 @@ import numpy as np
 
 from .barriers import JetRequest, prescribe_jet
 from .conductivity import (ConductivitySpec, check_structural_conditions,
-                           evaluate_with_derivatives, linearized_conductivity,
-                           make_preset)
-from .forward import assemble_jacobian, solve_dirichlet
-from .geometric import (alpha_tensor, metric_from_linearized, normal_identity_residual,
-                        operator_equivalence_residual)
+                           evaluate_with_derivatives, linearized_matrix, make_preset)
+from .forward import (_triangle_state, assemble_jacobian, manufactured_solution,
+                      solve_dirichlet)
+from .geometric import (alpha_antisymmetry_residual, metric_from_linearized,
+                        normal_identity_residual, operator_equivalence_residual)
 from .geometry import Mesh, boundary_frame_at, build_disk_mesh
-from .linearized import LinearizedOperator, fd_derivative_check, solve_linearized
+from .linearized import LinearizedOperator, fd_derivative_check
 from .recovery import DEFAULT_LADDER, PolarGrid, RecoveryGrid, reconstruct
 
 
@@ -161,24 +161,6 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_truth(grid: RecoveryGrid, cond: ConductivitySpec) -> dict:
-    """Per-sample relative errors against a known conductivity."""
-    errs = []
-    for smp in grid.samples:
-        if smp.status != "ok" or not np.isfinite(smp.a_hat):
-            continue
-        a_true = float(cond(smp.s, smp.p))
-        errs.append(abs(smp.a_hat - a_true) / a_true)
-    errs = np.asarray(errs)
-    n_fail = len(grid.failures())
-    if len(errs) == 0:
-        return {"n_samples": 0, "n_failed": n_fail, "max_rel_err": math.nan,
-                "median_rel_err": math.nan}
-    return {"n_samples": len(errs), "n_failed": n_fail,
-            "max_rel_err": float(errs.max()),
-            "median_rel_err": float(np.median(errs))}
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(float(x))
@@ -293,13 +275,12 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
     if stage("convergence"):
         t0 = time.perf_counter()
         hs = tuple(dict.fromkeys(tuple(cfg.convergence_h) + (cfg.h,)))
+        ustar, source = manufactured_solution(cond)
         errs = []
         for h in hs:
             mm = mesh if abs(h - cfg.h) < 1e-15 else build_disk_mesh(cfg.radius, h)
-            sol = solve_dirichlet(cond, mm, _manufactured_trace,
-                                  source=lambda x, c=cond: _manufactured_source(c, x),
-                                  tol=cfg.newton_tol)
-            errs.append(float(np.abs(sol.u - _manufactured_trace(mm.vertices)).max()))
+            sol = solve_dirichlet(cond, mm, ustar, source=source, tol=cfg.newton_tol)
+            errs.append(float(np.abs(sol.u - ustar(mm.vertices)).max()))
         order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
         rows = [(h, e, order) for h, e in zip(hs, errs)]
         write_csv(out / "convergence.csv", CONVERGENCE_HEADER, rows)
@@ -318,11 +299,10 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
         table = fd_derivative_check(cond, mesh, fb, hb, (1e-1, 1e-2, 1e-3),
                                     tol=cfg.newton_tol)
         base = solve_dirichlet(cond, mesh, fb, tol=cfg.newton_tol)
-        J_lin = LinearizedOperator.at_base(cond, base).J
-        J_fresh = assemble_jacobian(cond, mesh, base.u)
-        jac_gap = float(np.abs((J_lin - J_fresh).data).max()) if (J_lin - J_fresh).nnz else 0.0
-        lin = solve_linearized(cond, base, hb)
-        total_flux = float(lin.operator.flux_coeffs(lin.v).sum())
+        op = LinearizedOperator.at_base(cond, base)
+        gap = op.J - assemble_jacobian(cond, mesh, base.u)
+        jac_gap = float(np.abs(gap.data).max()) if gap.nnz else 0.0
+        total_flux = float(op.dn_flux(hb).sum())
         details = "\n".join([f"fd t={t:g}: err={e:.3e}" for t, e in table]
                             + [f"jacobian identity gap = {jac_gap:.2e}",
                                f"linearized total flux = {total_flux:.2e}"])
@@ -336,10 +316,9 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
         s0 = float(cfg.s_values[0])
         fb = s0 + 0.2 * mesh.vertices[mesh.boundary_loop, 0]
         base = solve_dirichlet(cond, mesh, fb, tol=cfg.newton_tol)
-        tri = mesh.triangles
-        ubar = base.u[tri].mean(axis=1)
-        gradu = np.einsum("ti,tik->tk", base.u[tri], mesh.hat_gradients)
-        aij = linearized_conductivity(cond, ubar, gradu)
+        ubar, gradu = _triangle_state(mesh, base.u)
+        a, a_s, gp = evaluate_with_derivatives(cond, ubar, gradu)
+        aij = linearized_matrix(a, gp, gradu)
         G, g, sigma = metric_from_linearized(aij)
         detG_err = float(np.abs(np.linalg.det(G) - 1.0).max())
         sGa_err = float(np.abs(sigma[:, None, None] * G - aij).max())
@@ -347,21 +326,8 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
         k = int(np.argmin(np.linalg.norm(mesh.centroids - fr.x0, axis=1)))
         mval = rng.normal()
         nid = normal_identity_residual(aij[k], np.array([[0, mval], [-mval, 0]]), fr.nu)
-        worst_anti = 0.0
-        for _ in range(100):
-            B = rng.normal(size=(2, 2))
-            gg = B @ B.T + 0.3 * np.eye(2)
-            mv = rng.normal()
-            al = alpha_tensor(np.array([[0, mv], [-mv, 0]]), gg)
-            V, W = rng.normal(size=2), rng.normal(size=2)
-            worst_anti = max(worst_anti, abs((al @ V) @ gg @ W + V @ gg @ (al @ W)))
-        x = mesh.centroids
-        v_val = 0.5 * x[:, 0] ** 2 + x[:, 0] * x[:, 1] - x[:, 1] ** 2 / 3
-        v_grad = np.stack([x[:, 0] + x[:, 1], x[:, 0] - 2 * x[:, 1] / 3], axis=1)
-        v_hess = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -2.0 / 3.0]]), (len(x), 2, 2))
-        _, a_s_t, _ = evaluate_with_derivatives(cond, ubar, gradu)
-        b_field = a_s_t[:, None] * gradu
-        opres = operator_equivalence_residual(mesh, aij, b_field, v_grad, v_hess, v_val)
+        worst_anti = alpha_antisymmetry_residual(rng)
+        opres = operator_equivalence_residual(mesh, aij, a_s[:, None] * gradu)
         details = (f"det G err = {detG_err:.2e}, sigma*G vs a_ij = {sGa_err:.2e}\n"
                    f"normal identity residual = {nid:.2e}\n"
                    f"alpha antisymmetry worst = {worst_anti:.2e}\n"
@@ -390,7 +356,7 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
                            width_factor=cfg.width_factor, nyquist_nodes=cfg.nyquist_nodes,
                            pi1=cfg.pi1, big_n=cfg.big_n, newton_tol=cfg.newton_tol,
                            jobs=cfg.jobs)
-        stats = compare_truth(grid, cond)
+        stats = grid.error_stats()
         report.recovery_stats = stats
         details = "\n".join(f"{k} = {v}" for k, v in stats.items())
         log_stage("reconstruction", stats["n_samples"] > 0 and stats["n_failed"] == 0,
@@ -406,22 +372,3 @@ def _write_outputs(out: Path, report: RunReport, grid: Optional[RecoveryGrid]):
         write_csv(out / "symbols.csv", SYMBOLS_HEADER, grid.symbol_rows)
     (out / "report.txt").write_text(report.to_text())
 
-
-def _manufactured_trace(x):
-    return 0.1 * np.sin(x[:, 0]) * np.exp(x[:, 1])
-
-
-def _manufactured_source(cond: ConductivitySpec, x):
-    """Forcing so that 0.1 sin(x1) e^{x2} solves the quasilinear equation."""
-    x = np.asarray(x, dtype=float)
-    u = 0.1 * np.sin(x[..., 0]) * np.exp(x[..., 1])
-    gx = 0.1 * np.cos(x[..., 0]) * np.exp(x[..., 1])
-    gy = u
-    grad = np.stack([gx, gy], axis=-1)
-    hess = np.empty(x.shape[:-1] + (2, 2))
-    hess[..., 0, 0] = -u
-    hess[..., 0, 1] = hess[..., 1, 0] = gx
-    hess[..., 1, 1] = u
-    aij = linearized_conductivity(cond, u, grad)
-    _, a_s, _ = evaluate_with_derivatives(cond, u, grad)
-    return np.einsum("...ij,...ij->...", aij, hess) + a_s * np.sum(grad * grad, axis=-1)

@@ -9,15 +9,14 @@ preconditions the Newton steps of the next solve warm-started from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .conductivity import ConductivitySpec
-from .forward import (DiscreteSolution, FluxDensity, SolveError, assemble_jacobian,
-                      assemble_linear, boundary_values, factor_interior)
+from .forward import (DiscreteSolution, SolveError, assemble_jacobian, assemble_linear,
+                      boundary_values, factor_interior, solve_dirichlet)
 from .geometry import Mesh
 
 
@@ -35,7 +34,10 @@ class LinearizedOperator:
     @classmethod
     def at_base(cls, cond: ConductivitySpec, base: DiscreteSolution) -> "LinearizedOperator":
         """Operator at a converged base; its exact LU is left on the base
-        to precondition the Newton steps of solves warm-started from it."""
+        to precondition the Newton steps of solves warm-started from it.
+        A base that did not converge is outside the solvable regime."""
+        if not base.converged:
+            raise SolveError("at_base: base solution did not converge")
         op = cls(base.mesh, assemble_jacobian(cond, base.mesh, base.u))
         base.lu = op._lu
         return op
@@ -69,6 +71,8 @@ class LinearizedOperator:
         return (self.J @ v)[self.mesh.boundary_loop]
 
     def dn_flux(self, h) -> np.ndarray:
+        """Linearized flux pairings of boundary data h: the derivative of
+        the DN map at the base, applied to h."""
         return self.flux_coeffs(self.solve(h))
 
     def condition_estimate(self) -> float:
@@ -82,41 +86,6 @@ class LinearizedOperator:
         return self._cond_est
 
 
-@dataclass
-class LinearizedSolve:
-    """Solution of the linearized Dirichlet problem at a base solution."""
-    base: DiscreteSolution
-    operator: LinearizedOperator
-    h: np.ndarray
-    v: np.ndarray
-
-
-def solve_linearized(cond: ConductivitySpec, base: DiscreteSolution, h,
-                     operator: Optional[LinearizedOperator] = None,
-                     max_condition: float = 1e12,
-                     check_condition: bool = False) -> LinearizedSolve:
-    """Solve the linearized problem at a converged base solution.
-
-    The stiffness is the Newton Jacobian at the base.  An ill-conditioned
-    interior block (estimate beyond ``max_condition``) marks the base as
-    outside the solvable regime.
-    """
-    if not base.converged:
-        raise SolveError("solve_linearized: base solution did not converge")
-    op = operator or LinearizedOperator.at_base(cond, base)
-    if check_condition and op.condition_estimate() > max_condition:
-        raise SolveError(f"linearized system too ill-conditioned "
-                         f"(estimate {op.condition_estimate():.2e})")
-    hb = boundary_values(base.mesh, h) if not np.iscomplexobj(h) else np.asarray(h)
-    return LinearizedSolve(base=base, operator=op, h=hb, v=op.solve(hb))
-
-
-def linearized_dn(cond: ConductivitySpec, lin: LinearizedSolve) -> FluxDensity:
-    """Linearized boundary flux density (the derivative of the DN map)."""
-    coeffs = lin.operator.flux_coeffs(lin.v)
-    return FluxDensity(lin.base.mesh, coeffs, coeffs / lin.base.mesh.vertex_weights)
-
-
 def fd_derivative_check(cond: ConductivitySpec, mesh: Mesh, f, h, t_list,
                         tol: float = 1e-10):
     """Compare the linearized solution against difference quotients.
@@ -124,14 +93,13 @@ def fd_derivative_check(cond: ConductivitySpec, mesh: Mesh, f, h, t_list,
     Returns a list of (t, max-norm error of (u[f+th]-u[f])/t - v); the
     error decays O(t) down to the forward solver floor.
     """
-    from .forward import solve_dirichlet
     fb = boundary_values(mesh, f)
     hb = boundary_values(mesh, h)
     base = solve_dirichlet(cond, mesh, fb, tol=tol)
-    lin = solve_linearized(cond, base, hb)
+    v = LinearizedOperator.at_base(cond, base).solve(hb)
     rows = []
     for t in t_list:
         pert = solve_dirichlet(cond, mesh, fb + t * hb, tol=tol, warm_start=base)
         quot = (pert.u - base.u) / t
-        rows.append((float(t), float(np.abs(quot - lin.v).max())))
+        rows.append((float(t), float(np.abs(quot - v).max())))
     return rows

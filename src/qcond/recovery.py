@@ -25,6 +25,8 @@ from .geometry import BoundaryFrame, Mesh, boundary_frame_at
 from .linearized import LinearizedOperator
 
 DEFAULT_LADDER = (8.0, 16.0, 32.0, 64.0)
+# a symbol fit is reliable when its linearity residual is below this
+FIT_THRESHOLD = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +99,7 @@ class SymbolEstimate:
 
 def extract_symbol(dn_eval: Callable, mesh: Mesh, frame: BoundaryFrame,
                    tau_list: Sequence[float], jet=(0.0, np.zeros(2)),
-                   width_factor: float = 1.0,
-                   fit_threshold: float = 0.05) -> SymbolEstimate:
+                   width_factor: float = 1.0) -> SymbolEstimate:
     """Measure the first-order symbol of a linearized flux evaluator.
 
     ``dn_eval`` maps complex boundary data (loop order) to variational
@@ -147,7 +148,7 @@ def extract_symbol(dn_eval: Callable, mesh: Mesh, frame: BoundaryFrame,
                           real_slope=float(coef_r[0]), imag_slope=float(coef_i[0]),
                           real_intercept=float(coef_r[1]), imag_intercept=float(coef_i[1]),
                           fit_residual=fit_res, parity_residual=parity,
-                          reliable=(fit_res < fit_threshold and coef_r[0] > 0),
+                          reliable=(fit_res < FIT_THRESHOLD and coef_r[0] > 0),
                           pairings=np.stack([P_plus, P_minus]))
 
 
@@ -219,8 +220,11 @@ def radial_integration_recovery(q_grid, D_values) -> np.ndarray:
 
     The cumulative integral uses composite Simpson on a uniform grid:
     the classical pair rule at even nodes and cubic-interpolated single
-    intervals at odd nodes, so every node value is exact for cubic
-    integrands (degree-3 D times the 2q weight split across pieces).
+    intervals at odd nodes.  With four or more nodes every rule is exact
+    for cubic integrands 2 q D, so every node value is exact for D of
+    degree <= 2.  With three nodes the first interval falls back to a
+    quadratic rule, and node 1 is exact only for affine D.  Cubic D is
+    not exact at any length.
     """
     q = np.asarray(q_grid, dtype=float)
     D = np.asarray(D_values, dtype=float)
@@ -293,6 +297,13 @@ class RecoveryGrid:
 
     def failures(self) -> list:
         return [x for x in self.samples if x.status != "ok"]
+
+    def error_stats(self) -> dict:
+        """Sample and failure counts with the max and median rel_err."""
+        errs = self.rel_errors()
+        return {"n_samples": len(errs), "n_failed": len(self.failures()),
+                "max_rel_err": float(errs.max()) if len(errs) else math.nan,
+                "median_rel_err": float(np.median(errs)) if len(errs) else math.nan}
 
 
 def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,

@@ -7,40 +7,19 @@ import pytest
 import scipy.sparse as sp
 
 from qcond.barriers import JetRequest, prescribe_jet
-from qcond.conductivity import (ConductivityError, evaluate_with_derivatives,
-                                linearized_conductivity, make_preset, preset_constant,
+from qcond import forward
+from qcond.conductivity import (ConductivityError, make_preset, preset_constant,
                                 preset_one_plus_s2, preset_p_gauss, preset_p_lorentz,
                                 rotate_conductivity)
 from qcond.forward import (KRYLOV_MAX_ITER, SolveError, assemble_linear, assemble_residual,
                            boundary_jet_of, coefficient_fields, dn_map, factor_interior,
-                           harmonic_extension, load_vector, save_flux, save_solution,
-                           solve_dirichlet)
+                           harmonic_extension, load_vector, manufactured_solution, save_flux,
+                           save_solution, solve_dirichlet)
 from qcond.geometry import (Isometry, boundary_frame_at, build_disk_mesh, transform_mesh)
 from qcond.linearized import LinearizedOperator
 
 C1 = preset_constant(1.0)
 PG = preset_p_gauss(0.25)
-
-
-def manufactured_pair(cond):
-    """u* = 0.1 sin(x) e^y and the forcing making it solve the equation."""
-    def ustar(x):
-        return 0.1 * np.sin(x[..., 0]) * np.exp(x[..., 1])
-
-    def source(x):
-        x = np.asarray(x, dtype=float)
-        u = ustar(x)
-        gx = 0.1 * np.cos(x[..., 0]) * np.exp(x[..., 1])
-        grad = np.stack([gx, u], axis=-1)
-        hess = np.empty(x.shape[:-1] + (2, 2))
-        hess[..., 0, 0] = -u
-        hess[..., 0, 1] = hess[..., 1, 0] = gx
-        hess[..., 1, 1] = u
-        aij = linearized_conductivity(cond, u, grad)
-        _, a_s, _ = evaluate_with_derivatives(cond, u, grad)
-        return np.einsum("...ij,...ij->...", aij, hess) + a_s * np.sum(grad * grad, axis=-1)
-
-    return ustar, source
 
 
 def test_affine_data_exact():
@@ -54,12 +33,12 @@ def test_constant_data_exact_for_state_dependent_model():
     m = build_disk_mesh(1.0, 0.1)
     sol = solve_dirichlet(preset_one_plus_s2(), m, np.full(len(m.boundary_loop), 0.7))
     assert np.abs(sol.u - 0.7).max() < 1e-12
-    flux = dn_map(preset_one_plus_s2(), sol)
+    flux = dn_map(sol)
     assert np.abs(flux.density).max() < 1e-10
 
 
 def test_manufactured_convergence_order():
-    ustar, source = manufactured_pair(PG)
+    ustar, source = manufactured_solution(PG)
     errs = []
     hs = (0.1, 0.05)
     for h in hs:
@@ -74,9 +53,9 @@ def test_dn_map_harmonic_oracles():
     m = build_disk_mesh(1.0, 0.05)
     th = np.arctan2(m.vertices[m.boundary_loop, 1], m.vertices[m.boundary_loop, 0])
     sol = solve_dirichlet(C1, m, lambda x: x[:, 0])
-    assert np.abs(dn_map(C1, sol).density - np.cos(th)).max() < 3.0 * m.h ** 2
+    assert np.abs(dn_map(sol).density - np.cos(th)).max() < 3.0 * m.h ** 2
     sol2 = solve_dirichlet(C1, m, lambda x: x[:, 0] ** 2 - x[:, 1] ** 2)
-    assert np.abs(dn_map(C1, sol2).density - 2.0 * np.cos(2.0 * th)).max() < 10.0 * m.h ** 2
+    assert np.abs(dn_map(sol2).density - 2.0 * np.cos(2.0 * th)).max() < 10.0 * m.h ** 2
 
 
 def test_flux_conservation():
@@ -84,7 +63,28 @@ def test_flux_conservation():
     fb = 0.3 * np.sin(2 * np.arctan2(m.vertices[m.boundary_loop, 1],
                                      m.vertices[m.boundary_loop, 0]))
     sol = solve_dirichlet(PG, m, fb)
-    assert abs(dn_map(PG, sol).total()) < 1e-9
+    assert abs(dn_map(sol).total()) < 1e-9
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+def test_dn_map_reads_the_converged_residual(with_source):
+    m = build_disk_mesh(1.0, 0.1)
+    source = manufactured_solution(PG)[1] if with_source else None
+    sol = solve_dirichlet(PG, m, 0.3 * np.sin(2 * m.vertices[m.boundary_loop, 0]),
+                          source=source)
+    R, _ = assemble_residual(PG, m, sol.u, source)
+    assert np.array_equal(dn_map(sol).coeffs, R[m.boundary_loop])
+
+
+def test_boundary_jet_of_assembles_no_residual(monkeypatch):
+    m = build_disk_mesh(1.0, 0.1)
+    sol = solve_dirichlet(PG, m, 0.3 * m.vertices[m.boundary_loop, 0] ** 2)
+    calls = []
+    assemble = forward.assemble_residual
+    monkeypatch.setattr(forward, "assemble_residual",
+                        lambda *args, **kw: calls.append(1) or assemble(*args, **kw))
+    boundary_jet_of(sol, boundary_frame_at(m, 0.4))
+    assert calls == []
 
 
 def test_comparison_principle_sample():
@@ -136,7 +136,7 @@ def test_scatter_assembly_matches_coo_reference():
     assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
 
     u = 0.3 * np.sin(3.0 * m.vertices[:, 0]) + m.vertices[:, 1] ** 2
-    _, source = manufactured_pair(PG)
+    _, source = manufactured_solution(PG)
     a, grad, _, _ = coefficient_fields(PG, m, u)
     r_loc = np.einsum("t,tk,tik->ti", area, a[:, None] * grad, g)
     R_ref = np.zeros(n)
@@ -263,7 +263,7 @@ def test_dumps(tmp_path):
     m = build_disk_mesh(1.0, 0.2)
     sol = solve_dirichlet(C1, m, lambda x: x[:, 0])
     save_solution(sol, tmp_path / "u.txt")
-    flux = dn_map(C1, sol)
+    flux = dn_map(sol)
     save_flux(flux, tmp_path / "flux.txt")
     lines = (tmp_path / "u.txt").read_text().splitlines()
     assert lines[0].startswith("u 0 ")

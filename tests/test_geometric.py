@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qcond.geometric import (alpha_tensor, beta_normal_component, beta_reassemble,
-                             geometric_data, magnetic_coefficients, metric_from_linearized,
+from qcond.geometric import (alpha_antisymmetry_residual, alpha_tensor, geometric_data,
+                             magnetic_coefficients, metric_from_linearized,
                              normal_identity_residual, operator_equivalence_residual,
                              recovered_gradient)
 from qcond.geometry import build_disk_mesh
@@ -42,17 +42,7 @@ def test_alpha_examples_and_antisymmetry():
     assert np.allclose(alpha_tensor(np.zeros((2, 2)), np.eye(2)), 0.0)
     al = alpha_tensor(np.array([[0.0, 0.7], [-0.7, 0.0]]), np.eye(2))
     assert np.allclose(al, [[0.0, 0.7], [-0.7, 0.0]])
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(100):
-        B = rng.normal(size=(2, 2))
-        g = B @ B.T + 0.3 * np.eye(2)
-        m = rng.normal()
-        al = alpha_tensor(np.array([[0.0, m], [-m, 0.0]]), g)
-        V, W = rng.normal(size=2), rng.normal(size=2)
-        worst = max(worst, abs((al @ V) @ g @ W + V @ g @ (al @ W)))
-        assert abs((al @ V) @ g @ V) < 1e-12 * (1 + np.sum(V * V))
-    assert worst < 1e-12
+    assert alpha_antisymmetry_residual(np.random.default_rng(4)) < 1e-12
 
 
 def test_normal_identity_pointwise():
@@ -79,17 +69,6 @@ def test_tangential_data_only_property():
     assert abs(nu @ A @ nu) < 1e-15
     tau = np.array([1.0, 0.0])
     assert abs(nu @ A @ tau - m * (nu[0] * tau[1] - nu[1] * tau[0])) < 1e-15
-
-
-def test_beta_round_trip():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        B = rng.normal(size=(2, 2))
-        S = B @ B.T + 0.5 * np.eye(2)
-        A_lower = rng.normal(size=2)
-        val = rng.normal()
-        bn = beta_normal_component(val, S, A_lower)
-        assert abs(beta_reassemble(bn, S, A_lower) - val) < 1e-8 * (1 + abs(val))
 
 
 def test_recovered_gradient_linear_exact():
@@ -126,10 +105,7 @@ def _synthetic_fields(m):
     aij[:, 1, 1] = 1.5 + 0.2 * x[:, 1]
     aij[:, 0, 1] = aij[:, 1, 0] = 0.1 * x[:, 0] * x[:, 1]
     b = np.stack([0.05 * x[:, 1], -0.04 * x[:, 0]], axis=1)
-    v_val = 0.5 * x[:, 0] ** 2 + x[:, 0] * x[:, 1] - x[:, 1] ** 2 / 3
-    v_grad = np.stack([x[:, 0] + x[:, 1], x[:, 0] - 2 * x[:, 1] / 3], axis=1)
-    v_hess = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -2.0 / 3.0]]), (len(x), 2, 2))
-    return aij, b, v_grad, v_hess, v_val
+    return aij, b
 
 
 def test_operator_equivalence_refines():
@@ -143,16 +119,15 @@ def test_operator_equivalence_refines():
 
 def test_det_G_normalized_on_solution_fields():
     from qcond.conductivity import preset_p_gauss, linearized_conductivity
-    from qcond.forward import solve_dirichlet
+    from qcond.forward import _triangle_state, solve_dirichlet
     pg = preset_p_gauss(0.25)
     m = build_disk_mesh(1.0, 0.1)
     th = np.arctan2(m.vertices[m.boundary_loop, 1], m.vertices[m.boundary_loop, 0])
     sol = solve_dirichlet(pg, m, 0.5 * np.cos(2 * th))
-    tri = m.triangles
-    gradu = np.einsum("ti,tik->tk", sol.u[tri], m.hat_gradients)
-    aij = linearized_conductivity(pg, sol.u[tri].mean(axis=1), gradu)
+    ubar, gradu = _triangle_state(m, sol.u)
+    aij = linearized_conductivity(pg, ubar, gradu)
     G, g, sigma = metric_from_linearized(aij)
     assert np.abs(np.linalg.det(G) - 1.0).max() < 1e-10
     assert np.abs(sigma[:, None, None] * G - aij).max() < 1e-12
     data = geometric_data(m, aij, np.zeros_like(gradu))
-    assert data.q.shape == (len(tri),)
+    assert data.q.shape == (len(m.triangles),)

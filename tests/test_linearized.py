@@ -3,11 +3,10 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from qcond.conductivity import make_preset, preset_constant, preset_p_gauss, preset_s_gauss
-from qcond.forward import (assemble_jacobian, factor_interior, harmonic_extension,
-                           solve_dirichlet)
+from qcond.forward import (SolveError, assemble_jacobian, factor_interior,
+                           harmonic_extension, solve_dirichlet)
 from qcond.geometry import build_disk_mesh
-from qcond.linearized import (LinearizedOperator, fd_derivative_check, linearized_dn,
-                              solve_linearized)
+from qcond.linearized import LinearizedOperator, fd_derivative_check
 
 C1 = preset_constant(1.0)
 PG = preset_p_gauss(0.25)
@@ -22,15 +21,15 @@ def test_laplace_linearization_is_harmonic_extension():
     th = boundary_angles(m)
     base = solve_dirichlet(C1, m, 0.3 * np.cos(2 * th))
     h = np.sin(th)
-    lin = solve_linearized(C1, base, h)
-    assert np.abs(lin.v - harmonic_extension(m, h)).max() < 1e-10
+    v = LinearizedOperator.at_base(C1, base).solve(h)
+    assert np.abs(v - harmonic_extension(m, h)).max() < 1e-10
 
 
 def test_zero_data_zero_solution():
     m = build_disk_mesh(1.0, 0.1)
     base = solve_dirichlet(PG, m, 0.4 * np.cos(2 * boundary_angles(m)))
-    lin = solve_linearized(PG, base, np.zeros(len(m.boundary_loop)))
-    assert np.abs(lin.v).max() == 0.0
+    v = LinearizedOperator.at_base(PG, base).solve(np.zeros(len(m.boundary_loop)))
+    assert np.abs(v).max() == 0.0
 
 
 def test_constant_base_state_only_model_reduces_to_laplace():
@@ -39,27 +38,25 @@ def test_constant_base_state_only_model_reduces_to_laplace():
     sg = preset_s_gauss(0.25)
     base = solve_dirichlet(sg, m, np.full(len(m.boundary_loop), 0.6))
     h = np.cos(boundary_angles(m))
-    lin = solve_linearized(sg, base, h)
-    assert np.abs(lin.v - harmonic_extension(m, h)).max() < 1e-10
+    v = LinearizedOperator.at_base(sg, base).solve(h)
+    assert np.abs(v - harmonic_extension(m, h)).max() < 1e-10
 
 
 def test_linearized_dn_harmonic_oracle():
     m = build_disk_mesh(1.0, 0.05)
     th = boundary_angles(m)
     base = solve_dirichlet(C1, m, 0.2 * np.cos(2 * th))
-    lin = solve_linearized(C1, base, np.cos(th))
-    flux = linearized_dn(C1, lin)
-    assert np.abs(flux.density - np.cos(th)).max() < 3.0 * m.h ** 2
-    lin0 = solve_linearized(C1, base, np.zeros(len(th)))
-    assert np.abs(linearized_dn(C1, lin0).density).max() == 0.0
+    op = LinearizedOperator.at_base(C1, base)
+    density = op.dn_flux(np.cos(th)) / m.vertex_weights
+    assert np.abs(density - np.cos(th)).max() < 3.0 * m.h ** 2
+    assert np.abs(op.dn_flux(np.zeros(len(th))) / m.vertex_weights).max() == 0.0
 
 
 def test_linearized_flux_total_vanishes():
     m = build_disk_mesh(1.0, 0.05)
     th = boundary_angles(m)
     base = solve_dirichlet(PG, m, 0.5 * np.cos(2 * th))
-    lin = solve_linearized(PG, base, np.sin(3 * th))
-    assert abs(linearized_dn(PG, lin).coeffs.sum()) < 1e-9
+    assert abs(LinearizedOperator.at_base(PG, base).dn_flux(np.sin(3 * th)).sum()) < 1e-9
 
 
 def test_symmetry_at_constant_base():
@@ -109,15 +106,22 @@ def test_fd_check_zero_direction():
     assert rows[0][1] < 1e-12
 
 
-def test_condition_estimate_and_gate():
+def test_condition_estimate():
     m = build_disk_mesh(1.0, 0.1)
     base = solve_dirichlet(PG, m, 0.4 * np.cos(2 * boundary_angles(m)))
-    op = LinearizedOperator.at_base(PG, base)
-    est = op.condition_estimate()
+    est = LinearizedOperator.at_base(PG, base).condition_estimate()
     assert 1.0 < est < 1e9
-    # the gate passes for a healthy base
-    solve_linearized(PG, base, np.cos(boundary_angles(m)),
-                     operator=op, check_condition=True)
+
+
+def test_at_base_rejects_unconverged_base():
+    m = build_disk_mesh(1.0, 0.2)
+    base = solve_dirichlet(PG, m, np.cos(2 * boundary_angles(m)), max_iter=1,
+                           raise_on_fail=False)
+    assert not base.converged
+    lu = base.lu
+    with pytest.raises(SolveError, match="did not converge"):
+        LinearizedOperator.at_base(PG, base)
+    assert base.lu is lu        # a rejected base keeps its own preconditioner
 
 
 def test_complex_data_two_real_solves():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcond.geometry import boundary_frame_at, build_disk_mesh
 from qcond.recovery import (PolarGrid, RecoveryError, admissible_taus,
@@ -84,6 +85,32 @@ def test_radial_integration_state_only():
     aval = 1.3
     a_hat = radial_integration_recovery(q, np.full_like(q, aval ** 2))
     assert np.abs(a_hat - aval).max() < 1e-13
+
+
+# D = c0 + c1 q + c2 q^2 stays >= 0.2 on every drawn grid; the identity
+# then gives a(q) = sqrt(c0 + 2 c1 q / 3 + c2 q^2 / 2) in closed form
+_D_COEF = dict(c0=st.floats(1.0, 2.0), c1=st.floats(-0.3, 0.3),
+               q_max=st.floats(0.05, 1.2))
+
+
+def _radial_rel_err(n, q_max, c0, c1, c2):
+    q = np.linspace(0.0, q_max, n)
+    exact = np.sqrt(c0 + 2.0 * c1 * q / 3.0 + 0.5 * c2 * q * q)
+    a_hat = radial_integration_recovery(q, c0 + c1 * q + c2 * q * q)
+    return float(np.abs(a_hat / exact - 1.0).max())
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(4, 40), c2=st.floats(-0.3, 0.3), **_D_COEF)
+def test_radial_integration_exact_for_quadratic_D(n, q_max, c0, c1, c2):
+    # both parities of n: the even-n end rule and the odd-n Simpson pairs
+    assert _radial_rel_err(n, q_max, c0, c1, c2) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_D_COEF)
+def test_radial_integration_three_nodes_exact_for_affine_D(q_max, c0, c1):
+    assert _radial_rel_err(3, q_max, c0, c1, 0.0) <= 1e-12
 
 
 def test_radial_integration_flags_bad_measurements():
