@@ -163,8 +163,7 @@ class JetResult:
 
 
 def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
-                  pi1: float = 1.0, big_n: float = 10.0,
-                  tol_jet: Optional[float] = None, max_solves: int = 40,
+                  pi1: float = 1.0, big_n: float = 10.0, max_solves: int = 40,
                   newton_tol: float = 1e-10,
                   t_hint: Optional[float] = None,
                   warm_start: Optional[DiscreteSolution] = None) -> JetResult:
@@ -183,7 +182,7 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
     """
     frame = request.frame
     p = np.asarray(request.p, dtype=float)
-    tol = tol_jet if tol_jet is not None else 1e-3 * (1.0 + np.linalg.norm(p))
+    tol = 1e-3 * (1.0 + np.linalg.norm(p))
     iso = normalize_above_origin(mesh, frame)
     p_t = float(frame.tau @ p)
     p_n = float(-frame.nu @ p)       # inner-normal slope in normalized coords

@@ -45,7 +45,7 @@ class ConductivitySpec:
         Identifier used in reports.
     fn : callable
         ``fn(s, p) -> a`` with ``s`` of shape (...,) and ``p`` of shape
-        (..., dim); must vectorize over leading axes.
+        (..., 2); must vectorize over leading axes.
     grad : callable, optional
         ``grad(s, p) -> (a_s, grad_p_a)`` in closed form.  When absent,
         central finite differences with step ``fd_step * (1 + |p|)`` are
@@ -58,8 +58,6 @@ class ConductivitySpec:
         Constant C in the large-gradient drift bound
         |a_s| <= C lambda(s,p)/|p|.  Present iff the model operates in
         the decay regime.
-    dim : int
-        Spatial dimension (>= 2).
     """
 
     name: str
@@ -68,7 +66,6 @@ class ConductivitySpec:
     lambda0: Callable = lambda t: 1.0
     mu0: Callable = lambda t: 1.0
     decay_constant: Optional[float] = None
-    dim: int = 2
     fd_step: float = 1e-4
 
     def __call__(self, s, p):
@@ -150,7 +147,7 @@ def rotate_conductivity(cond: ConductivitySpec, R: np.ndarray) -> ConductivitySp
     Structural bounds are rotation invariant and carry over unchanged.
     """
     R = np.asarray(R, dtype=float)
-    if R.shape != (cond.dim, cond.dim) or np.max(np.abs(R.T @ R - np.eye(cond.dim))) > 1e-12:
+    if R.shape != (2, 2) or np.max(np.abs(R.T @ R - np.eye(2))) > 1e-12:
         raise ValueError("rotate_conductivity: R is not orthogonal to 1e-12")
     Rinv = R.T
 
@@ -208,8 +205,13 @@ class ConditionReport:
         return "\n".join(lines)
 
 
-def check_structural_conditions(cond: ConductivitySpec, s_range, p_range,
-                                grid_density: int = 24, n_directions: int = 8) -> ConditionReport:
+# the structural scan samples STRUCTURAL_GRID values of s and of |p|, and
+# STRUCTURAL_DIRECTIONS equally spaced directions of p
+STRUCTURAL_GRID = 24
+STRUCTURAL_DIRECTIONS = 8
+
+
+def check_structural_conditions(cond: ConductivitySpec, s_range, p_range) -> ConditionReport:
     """Scan the declared bounds on a dense (s, p) grid and report margins.
 
     Checks, in order: a >= 1, min eig of a_ij >= lambda0(|s|),
@@ -222,15 +224,15 @@ def check_structural_conditions(cond: ConductivitySpec, s_range, p_range,
     r_lo, r_hi = float(p_range[0]), float(p_range[-1])
     if s_hi < s_lo or r_hi < r_lo:
         raise ValueError("check_structural_conditions: empty ranges")
-    s_grid = np.linspace(s_lo, s_hi, grid_density)
-    radii = np.linspace(r_lo, r_hi, grid_density)
+    s_grid = np.linspace(s_lo, s_hi, STRUCTURAL_GRID)
+    radii = np.linspace(r_lo, r_hi, STRUCTURAL_GRID)
     radii = radii[radii > 0] if r_lo == 0.0 else radii
-    angles = np.arange(n_directions) * (2.0 * np.pi / n_directions)
+    angles = np.arange(STRUCTURAL_DIRECTIONS) * (2.0 * np.pi / STRUCTURAL_DIRECTIONS)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
-    S, Rr, Dd = np.meshgrid(s_grid, radii, np.arange(n_directions), indexing="ij")
+    S, Rr, Dd = np.meshgrid(s_grid, radii, np.arange(STRUCTURAL_DIRECTIONS), indexing="ij")
     P = Rr[..., None] * dirs[Dd]
-    Sf, Pf = S.ravel(), P.reshape(-1, cond.dim)
+    Sf, Pf = S.ravel(), P.reshape(-1, 2)
 
     a, a_s, gp = evaluate_with_derivatives(cond, Sf, Pf)
     aij = linearized_matrix(a, gp, Pf)

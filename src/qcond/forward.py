@@ -346,9 +346,6 @@ class FluxDensity:
     def total(self) -> float:
         return float(self.coeffs.sum())
 
-    def edge_values(self) -> np.ndarray:
-        return 0.5 * (self.density + np.roll(self.density, -1))
-
 
 def dn_map(sol: DiscreteSolution) -> FluxDensity:
     """Boundary flux density of a converged solution (variational form)."""
@@ -423,17 +420,3 @@ def manufactured_solution(cond: ConductivitySpec):
 
     return ustar, source
 
-
-def save_solution(sol: DiscreteSolution, path):
-    """Plain-text dump: `u <vertex-index> <value>` lines."""
-    with open(path, "w") as fh:
-        for i, val in enumerate(sol.u):
-            fh.write(f"u {i} {float(val)!r}\n")
-
-
-def save_flux(flux: FluxDensity, path):
-    """Plain-text dump: `flux <edge-index> <value>` lines."""
-    vals = flux.edge_values()
-    with open(path, "w") as fh:
-        for i, val in enumerate(vals):
-            fh.write(f"flux {i} {float(val)!r}\n")

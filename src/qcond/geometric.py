@@ -13,7 +13,6 @@ obtained by least-squares patch recovery over vertex stars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .geometry import Mesh
 # pointwise metric algebra
 # ---------------------------------------------------------------------------
 
-def metric_from_linearized(aij: np.ndarray, dim: Optional[int] = None):
+def metric_from_linearized(aij: np.ndarray):
     """(G, g, sigma) from the symmetric linearized matrix field.
 
     2D: sigma = sqrt(det a) and G = a / sigma, so that det G = 1 and
@@ -37,7 +36,7 @@ def metric_from_linearized(aij: np.ndarray, dim: Optional[int] = None):
     is pure matrix algebra for synthetic inputs.
     """
     a = np.asarray(aij, dtype=float)
-    n = dim or a.shape[-1]
+    n = a.shape[-1]
     det = np.linalg.det(a)
     if np.any(det <= 0) or np.any(np.linalg.eigvalsh(a)[..., 0] <= 0):
         raise ValueError("metric_from_linearized: matrix field is not positive definite")

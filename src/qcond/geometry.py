@@ -129,15 +129,6 @@ class Mesh:
             self._cache["vn"] = n / np.linalg.norm(n, axis=1, keepdims=True)
         return self._cache["vn"]
 
-    @property
-    def loop_position(self):
-        """vertex index -> position in boundary_loop (-1 for interior)."""
-        if "loop_pos" not in self._cache:
-            pos = np.full(len(self.vertices), -1, dtype=int)
-            pos[self.boundary_loop] = np.arange(len(self.boundary_loop))
-            self._cache["loop_pos"] = pos
-        return self._cache["loop_pos"]
-
 
 def _delaunay_mesh(points, boundary_count, h, diameter):
     """Triangulate a convex point cloud whose last ring is the boundary."""
@@ -253,9 +244,6 @@ class Isometry:
 
     def apply(self, x):
         return np.asarray(x, dtype=float) @ self.R.T + self.t
-
-    def invert(self, y):
-        return (np.asarray(y, dtype=float) - self.t) @ self.R
 
     def __post_init__(self):
         if np.max(np.abs(self.R.T @ self.R - np.eye(2))) > 1e-12:

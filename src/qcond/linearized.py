@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .conductivity import ConductivitySpec
 from .forward import (DiscreteSolution, SolveError, assemble_jacobian, assemble_linear,
@@ -29,7 +28,6 @@ class LinearizedOperator:
         # interior rows and columns in the mesh's fill-reducing order
         self._lu, self._order = factor_interior(mesh, self.J)
         self._J_ib = self.J[self._order][:, mesh.boundary_loop].tocsr()
-        self._cond_est = None
 
     @classmethod
     def at_base(cls, cond: ConductivitySpec, base: DiscreteSolution) -> "LinearizedOperator":
@@ -75,31 +73,21 @@ class LinearizedOperator:
         the DN map at the base, applied to h."""
         return self.flux_coeffs(self.solve(h))
 
-    def condition_estimate(self) -> float:
-        """1-norm condition estimate of the interior block (solvability proxy)."""
-        if self._cond_est is None:
-            A = self.J[self._order][:, self._order]
-            n = len(self._order)
-            inv = spla.LinearOperator((n, n), matvec=self._lu.solve,
-                                      rmatvec=lambda x: self._lu.solve(x, trans="T"))
-            self._cond_est = float(spla.onenormest(A) * spla.onenormest(inv))
-        return self._cond_est
 
-
-def fd_derivative_check(cond: ConductivitySpec, mesh: Mesh, f, h, t_list,
+def fd_derivative_check(base: DiscreteSolution, op: LinearizedOperator, h, t_list,
                         tol: float = 1e-10):
-    """Compare the linearized solution against difference quotients.
+    """Compare the linearized solution at a converged base, ``op`` being
+    its operator, against difference quotients of the forward solver.
 
     Returns a list of (t, max-norm error of (u[f+th]-u[f])/t - v); the
     error decays O(t) down to the forward solver floor.
     """
-    fb = boundary_values(mesh, f)
-    hb = boundary_values(mesh, h)
-    base = solve_dirichlet(cond, mesh, fb, tol=tol)
-    v = LinearizedOperator.at_base(cond, base).solve(hb)
+    hb = boundary_values(base.mesh, h)
+    v = op.solve(hb)
     rows = []
     for t in t_list:
-        pert = solve_dirichlet(cond, mesh, fb + t * hb, tol=tol, warm_start=base)
+        pert = solve_dirichlet(base.cond, base.mesh, base.f + t * hb, tol=tol,
+                               warm_start=base)
         quot = (pert.u - base.u) / t
         rows.append((float(t), float(np.abs(quot - v).max())))
     return rows

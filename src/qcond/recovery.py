@@ -279,7 +279,7 @@ class RecoverySample:
     s: float
     p: np.ndarray
     a_hat: float
-    a_true: Optional[float]
+    a_true: float
     rel_err: Optional[float]
     status: str
     theta: float
@@ -310,24 +310,20 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
                 regime: str = "small", tau_ladder: Sequence[float] = DEFAULT_LADDER,
                 width_factor: float = 1.0, nyquist_nodes: int = 10,
                 pi1: float = 1.0, big_n: float = 10.0,
-                newton_tol: float = 1e-10, truth: Optional[ConductivitySpec] = None,
-                jobs: int = 1, progress: Optional[Callable] = None) -> RecoveryGrid:
+                newton_tol: float = 1e-10, jobs: int = 1,
+                progress: Optional[Callable] = None) -> RecoveryGrid:
     """Reconstruct a(s, p) over a polar gradient grid from boundary data.
 
     For each state value and direction the pipeline prescribes boundary
     jets with vanishing normal slope and tangential magnitudes along a
     radial grid, measures the symbol invariants at each jet, and inverts
     the radial identity.  Per-sample failures are recorded and skipped.
-
-    ``truth`` fills the comparison columns ``a_true`` and ``rel_err``.
-    It defaults to ``cond``, and ``truth=None`` also compares against
-    ``cond``: there is no blind mode, so every sample is scored against
-    a known model.
+    Every sample is scored against ``cond`` itself (``a_true``,
+    ``rel_err``): a run reconstructs a known model, there is no blind mode.
     """
     taus = admissible_taus(mesh, tau_ladder, nyquist_nodes)
     if len(taus) < 2:
         raise ValueError("mesh too coarse for the frequency ladder")
-    truth = truth if truth is not None else cond
     thetas = 2.0 * math.pi * np.arange(grid.n_directions) / grid.n_directions
     tasks = [(float(s), float(th)) for s in s_grid for th in thetas]
 
@@ -405,7 +401,7 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
             if k == 0:
                 continue       # q = 0 repeats across directions; skip in output
             p_vec = qv * frame.tau
-            a_true = float(truth(s, p_vec)) if truth is not None else None
+            a_true = float(cond(s, p_vec))
             ok = status[k] == "ok" and np.isfinite(a_hat[k])
             rel = abs(a_hat[k] - a_true) / a_true if (ok and a_true) else None
             out.append(RecoverySample(s=s, p=p_vec, a_hat=float(a_hat[k]) if ok else math.nan,

@@ -13,8 +13,8 @@ from qcond.conductivity import (ConductivityError, make_preset, preset_constant,
                                 rotate_conductivity)
 from qcond.forward import (KRYLOV_MAX_ITER, SolveError, assemble_linear, assemble_residual,
                            boundary_jet_of, coefficient_fields, dn_map, factor_interior,
-                           harmonic_extension, load_vector, manufactured_solution, save_flux,
-                           save_solution, solve_dirichlet)
+                           harmonic_extension, load_vector, manufactured_solution,
+                           solve_dirichlet)
 from qcond.geometry import (Isometry, boundary_frame_at, build_disk_mesh, transform_mesh)
 from qcond.linearized import LinearizedOperator
 
@@ -257,16 +257,3 @@ def test_harmonic_extension_warm_start():
     fb = m.vertices[m.boundary_loop, 0]
     u = harmonic_extension(m, fb)
     assert np.abs(u - m.vertices[:, 0]).max() < 1e-12
-
-
-def test_dumps(tmp_path):
-    m = build_disk_mesh(1.0, 0.2)
-    sol = solve_dirichlet(C1, m, lambda x: x[:, 0])
-    save_solution(sol, tmp_path / "u.txt")
-    flux = dn_map(sol)
-    save_flux(flux, tmp_path / "flux.txt")
-    lines = (tmp_path / "u.txt").read_text().splitlines()
-    assert lines[0].startswith("u 0 ")
-    assert len(lines) == len(m.vertices)
-    flines = (tmp_path / "flux.txt").read_text().splitlines()
-    assert flines[0].startswith("flux 0 ") and len(flines) == len(m.boundary_loop)

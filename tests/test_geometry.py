@@ -98,8 +98,6 @@ def test_normalize_above_origin():
     fr0 = boundary_frame_at(m, 0.0)
     iso0 = normalize_above_origin(m, fr0)
     assert iso0.apply(m.vertices)[:, 1].min() >= -1e-10
-    # round trip is the identity
-    assert np.abs(iso0.invert(iso0.apply(m.vertices)) - m.vertices).max() < 1e-12
 
 
 def test_supporting_plane_all_frames():

@@ -93,16 +93,41 @@ def test_stats_match_csv_recomputation(tmp_path):
 
 
 def test_run_deterministic_outputs(tmp_path):
+    # one worker thread and two write the same bytes
     outs = []
     for k in (1, 2):
         cfg = RunConfig(conductivity="p_gauss(0.25)", h=0.05, s_values=(0.2,),
-                        n_directions=2, n_radii=2, seed=99,
+                        n_directions=2, n_radii=2, seed=99, jobs=k,
                         out_dir=str(tmp_path / f"run{k}"),
                         stages=("structural", "mesh", "reconstruction"))
         run(cfg, echo=None)
         outs.append({name: (tmp_path / f"run{k}" / name).read_bytes()
                      for name in ("recovery.csv", "symbols.csv")})
     assert outs[0] == outs[1]
+
+
+def test_linearization_and_geometric_stages_share_one_base(tmp_path, monkeypatch):
+    from qcond import harness, linearized
+    cold, at_base = [], []
+    for module in (harness, linearized):
+        solve = module.solve_dirichlet
+
+        def counted(*args, solve=solve, **kwargs):
+            if kwargs.get("warm_start") is None:
+                cold.append(args[2])
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(module, "solve_dirichlet", counted)
+    build = vars(linearized.LinearizedOperator)["at_base"].__func__
+
+    def counted_at_base(cls, cond, base):
+        at_base.append(base)
+        return build(cls, cond, base)
+    monkeypatch.setattr(linearized.LinearizedOperator, "at_base",
+                        classmethod(counted_at_base))
+    cfg = RunConfig(conductivity="p_gauss(0.25)", h=0.1, out_dir=str(tmp_path / "o"),
+                    stages=("mesh", "linearization", "geometric"))
+    assert run(cfg, echo=None).ok
+    assert len(cold) == 1 and len(at_base) == 1
 
 
 def test_run_stops_on_coercivity_violation(tmp_path):

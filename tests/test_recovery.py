@@ -238,3 +238,16 @@ def test_reconstruct_salvages_radial_prefix():
     assert ok and bad
     assert max(np.linalg.norm(s.p) for s in ok) < min(np.linalg.norm(s.p) for s in bad)
     assert all(np.isfinite(s.a_hat) for s in ok)
+
+
+def test_reconstruct_rejects_fewer_than_two_admissible_frequencies():
+    # the Nyquist cap of an h = 0.2 boundary (about 3.1) keeps one rung of
+    # the ladder, and a slope cannot be fitted to one frequency
+    from qcond.conductivity import preset_constant
+    from qcond.recovery import reconstruct
+    mesh = build_disk_mesh(1.0, 0.2)
+    ladder = (2.0, 64.0)
+    assert admissible_taus(mesh, ladder) == [2.0]
+    with pytest.raises(ValueError, match="mesh too coarse for the frequency ladder"):
+        reconstruct(preset_constant(1.0), mesh, (0.0,),
+                    PolarGrid(n_directions=1, n_radii=2), tau_ladder=ladder)
