@@ -28,6 +28,7 @@ class LinearizedOperator:
         # interior rows and columns in the mesh's fill-reducing order
         self._lu, self._order = factor_interior(mesh, self.J)
         self._J_ib = self.J[self._order][:, mesh.boundary_loop].tocsr()
+        self._J_b = self.J[mesh.boundary_loop]
 
     @classmethod
     def at_base(cls, cond: ConductivitySpec, base: DiscreteSolution) -> "LinearizedOperator":
@@ -65,8 +66,8 @@ class LinearizedOperator:
         return v
 
     def flux_coeffs(self, v) -> np.ndarray:
-        """Variational flux pairings (J v restricted to boundary rows)."""
-        return (self.J @ v)[self.mesh.boundary_loop]
+        """Variational flux pairings: the boundary rows of J, times v."""
+        return self._J_b @ v
 
     def dn_flux(self, h) -> np.ndarray:
         """Linearized flux pairings of boundary data h: the derivative of

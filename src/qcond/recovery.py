@@ -80,9 +80,9 @@ class SymbolEstimate:
     """Leading-order symbol data measured at a boundary frame.
 
     real_slope estimates sqrt(det a_ij) at the jet; imag_slope the
-    antisymmetric flux component A_ij nu_i tau_j.  The parity residual
-    measures the even/odd split quality; the fit residual the linearity
-    of the frequency response.
+    antisymmetric flux component A_ij nu_i tau_j.  The fit residual
+    measures the linearity of the frequency response; the parity
+    residual of the even/odd split is 0 by construction.
     """
     frame: BoundaryFrame
     jet: tuple
@@ -103,11 +103,11 @@ def extract_symbol(dn_eval: Callable, mesh: Mesh, frame: BoundaryFrame,
     """Measure the first-order symbol of a linearized flux evaluator.
 
     ``dn_eval`` maps complex boundary data (loop order) to variational
-    flux pairings.  For each frequency the probe is applied with both
-    orientations; the conjugate symmetry of a real operator puts the
-    metric part in the even combination and the antisymmetric part in
-    the odd one.  Zeroth-order terms (drift and curvature contributions)
-    land in the fit intercepts.
+    flux pairings, and must commute with conjugation (a real operator).
+    One probe is solved per frequency; the opposite orientation's probe
+    and pairing are its conjugates.  The even combination of the two
+    carries the metric part, the odd one the antisymmetric part, and
+    zeroth-order terms (drift and curvature) land in the fit intercepts.
 
     With three or more frequencies the fit carries an extra tau^3 term:
     the variational pairing of a discrete solve is superconvergent
@@ -121,12 +121,10 @@ def extract_symbol(dn_eval: Callable, mesh: Mesh, frame: BoundaryFrame,
     if taus[-1] < 2.0 * taus[0]:
         raise ValueError("extract_symbol: frequency ladder spans less than one octave")
     P_plus = np.empty(len(taus), dtype=complex)
-    P_minus = np.empty(len(taus), dtype=complex)
     for k, tau in enumerate(taus):
-        for sign, out in ((+1, P_plus), (-1, P_minus)):
-            h, nsq = oscillatory_probe(mesh, frame, tau, probe_width(tau, width_factor), sign)
-            coeffs = dn_eval(h)
-            out[k] = np.sum(coeffs * np.conj(h)) / nsq
+        h, nsq = oscillatory_probe(mesh, frame, tau, probe_width(tau, width_factor))
+        P_plus[k] = np.sum(dn_eval(h) * np.conj(h)) / nsq
+    P_minus = np.conj(P_plus)
 
     even = 0.5 * (P_plus + P_minus)
     odd = 0.5 * (P_plus - P_minus)

@@ -133,9 +133,15 @@ def test_jet_outside_radius_rejected():
     cond = preset_p_gauss(0.25)
     fr = boundary_frame_at(m, 0.0)
     jr = jet_radius(cond, 0.0, m.diameter)
-    with pytest.raises(ValueError, match="small-gradient radius"):
+    cause = r"^jet outside the small-gradient radius: \|p\|="
+    with pytest.raises(ValueError, match=cause):
         prescribe_jet(cond, m, JetRequest(frame=fr, s=0.0, p=1.1 * jr.pi * fr.tau,
                                           regime="small"))
+    # the radius itself is outside: the guard is |p| >= pi(s)
+    p_edge = np.array([jr.pi, 0.0])
+    assert np.linalg.norm(p_edge) == jr.pi
+    with pytest.raises(ValueError, match=cause):
+        prescribe_jet(cond, m, JetRequest(frame=fr, s=0.0, p=p_edge, regime="small"))
 
 
 def test_comparison_ordering_at_bracket_endpoints():
@@ -188,7 +194,8 @@ def test_decay_jets_large_gradient():
 def test_decay_request_needs_decay_constant():
     m = build_disk_mesh(1.0, 0.2)
     fr = boundary_frame_at(m, 0.0)
-    with pytest.raises(ValueError, match="decay constant"):
+    with pytest.raises(ValueError, match="^decay-regime request on a model without a "
+                                         "decay constant$"):
         prescribe_jet(preset_p_gauss(0.25), m,
                       JetRequest(frame=fr, s=0.0, p=2.0 * fr.tau, regime="decay"))
 

@@ -146,6 +146,45 @@ def nonsymmetric_fields(m):
     return LinearizedOperator.from_fields(m, M, np.array([0.5, -0.2])).J
 
 
+def bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def nonsymmetric_operator(m):
+    return LinearizedOperator(m, nonsymmetric_fields(m))
+
+
+def decay_base_operator(m):
+    # a converged decay_mix base with gradient near |p| = 1 and a curved part
+    cond = make_preset("decay_mix(0.2,0.05,0.1)")
+    th = boundary_angles(m)
+    base = solve_dirichlet(cond, m, 0.6 + 0.6 * np.cos(th) + 0.8 * np.sin(th)
+                           + 0.2 * np.cos(2 * th))
+    return LinearizedOperator.at_base(cond, base)
+
+
+@pytest.mark.parametrize("make_op", [nonsymmetric_operator, decay_base_operator])
+def test_dn_flux_commutes_with_conjugation(make_op):
+    # a real operator: conjugate data give exactly the conjugate pairings,
+    # which is what lets a probe sweep solve one orientation per frequency
+    m = build_disk_mesh(1.0, 0.05)
+    op = make_op(m)
+    th = boundary_angles(m)
+    for h in (np.exp(5j * th) * (1.0 + 0.3 * np.cos(th)), np.exp(-2j * th) + 0.4):
+        assert bitwise_equal(op.dn_flux(np.conj(h)), np.conj(op.dn_flux(h)))
+
+
+@pytest.mark.parametrize("make_op", [nonsymmetric_operator, decay_base_operator])
+def test_flux_coeffs_are_boundary_rows_of_full_product(make_op):
+    m = build_disk_mesh(1.0, 0.05)
+    op = make_op(m)
+    rng = np.random.default_rng(7)
+    v_real = rng.normal(size=len(m.vertices))
+    v_complex = v_real + 1j * rng.normal(size=len(m.vertices))
+    for v in (v_real, v_complex, op.solve(np.exp(3j * boundary_angles(m)))):
+        assert bitwise_equal(op.flux_coeffs(v), (op.J @ v)[m.boundary_loop])
+
+
 @pytest.mark.parametrize("block", [decay_jacobian, nonsymmetric_fields])
 def test_factor_interior_residual_fill_and_order(block):
     m = build_disk_mesh(1.0, 0.05)

@@ -12,6 +12,24 @@ from qcond.recovery import (PolarGrid, RecoveryError, admissible_taus,
 
 # -- algebraic layer --------------------------------------------------------
 
+def _tangential_data(m):
+    vec = st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m).map(np.array)
+    p = vec.filter(lambda v: np.linalg.norm(v) >= 0.1)
+    return st.tuples(st.floats(-3.0, 3.0), vec, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.integers(2, 5).flatmap(_tangential_data))
+def test_tangential_matrix_round_trip_property(data):
+    # criterion 9's bounds over m = n - 1 in 2..5, |p'| away from 0
+    a, q, p = data
+    M = assemble_tangential_matrix(a, q, p)
+    a2, q2 = recover_from_tangential_matrix(M, p)
+    assert np.abs(assemble_tangential_matrix(a2, q2, p) - M).max() <= 1e-10
+    dense = np.sort(np.linalg.eigvalsh(M))
+    assert np.abs(spectrum_of_recovery_matrix(a, q, p) - dense).max() <= 1e-12
+
+
 def test_spectrum_worked_example():
     # n = 4: M = 5 I + (q p^T + p q^T)/2 with p = e1, q = 2 e1 is diag(7,5,5)
     spec = spectrum_of_recovery_matrix(5.0, [2.0, 0.0, 0.0], [1.0, 0.0, 0.0])
@@ -170,7 +188,9 @@ def test_extract_symbol_ladder_guards():
 
 
 def test_extract_symbol_on_synthetic_multiplier():
-    # a fabricated first-order response: flux = (c1 tau + c0 + i d1 tau) h
+    # a fabricated first-order response: the multiplier c1 |xi| + c0 + i d1 xi
+    # of signed frequency xi maps conjugate probes to conjugate fluxes, and
+    # extract_symbol probes xi = +tau: flux = (c1 tau + c0 + i d1 tau) h
     m = build_disk_mesh(1.0, 0.025)
     fr = boundary_frame_at(m, 0.4)
     c1, c0, d1 = 1.7, 0.8, -0.35
@@ -180,17 +200,15 @@ def test_extract_symbol_on_synthetic_multiplier():
 
     def dn_eval(h):
         tau = state["tau"]
-        sign = state["sign"]
-        return m.vertex_weights * (c1 * tau + c0 + 1j * d1 * sign * tau) * h
+        return m.vertex_weights * (c1 * tau + c0 + 1j * d1 * tau) * h
 
-    # wrap extract_symbol's probing: patch through a shim evaluator that
-    # infers (tau, sign) from the probe's phase against the stored table
+    # the evaluator reads the frequency of the probe being applied
     import qcond.recovery as R
     orig = R.oscillatory_probe
 
-    def probe_spy(mesh, frame, tau, width=None, sign=+1):
-        state["tau"], state["sign"] = tau, sign
-        return orig(mesh, frame, tau, width, sign)
+    def probe_spy(mesh, frame, tau, width=None):
+        state["tau"] = tau
+        return orig(mesh, frame, tau, width)
 
     R.oscillatory_probe, saved = probe_spy, R.oscillatory_probe
     try:
@@ -238,6 +256,35 @@ def test_reconstruct_salvages_radial_prefix():
     assert ok and bad
     assert max(np.linalg.norm(s.p) for s in ok) < min(np.linalg.norm(s.p) for s in bad)
     assert all(np.isfinite(s.a_hat) for s in ok)
+    assert all(s.status.startswith("ValueError: jet outside the small-gradient radius: |p|=")
+               and np.isnan(s.a_hat) for s in bad)
+
+
+def test_reconstruct_records_missing_decay_constant():
+    from qcond.conductivity import preset_p_gauss
+    from qcond.recovery import reconstruct
+    grid = reconstruct(preset_p_gauss(0.25), build_disk_mesh(1.0, 0.1), (0.0,),
+                       PolarGrid(n_directions=1, n_radii=3, r_max=1.0), regime="decay",
+                       tau_ladder=(2.0, 4.0))
+    assert len(grid.samples) == 3
+    for s in grid.samples:
+        assert s.status == ("ValueError: decay-regime request on a model without a "
+                            "decay constant")
+        assert np.isnan(s.a_hat) and s.rel_err is None
+
+
+def test_reconstruct_fit_residual_gate(monkeypatch):
+    # with a zero threshold no fit is reliable: every node records its
+    # fit residual and no sample is recovered
+    import qcond.recovery as R
+    from qcond.conductivity import preset_p_lorentz
+    monkeypatch.setattr(R, "FIT_THRESHOLD", 0.0)
+    grid = R.reconstruct(preset_p_lorentz(0.2), build_disk_mesh(1.0, 0.1), (0.0,),
+                         PolarGrid(n_directions=1, n_radii=2), tau_ladder=(2.0, 4.0))
+    assert len(grid.samples) == 2 and len(grid.symbol_rows) == 3
+    for s, row in zip(grid.samples, grid.symbol_rows[1:]):
+        assert s.status == f"symbol: fit residual {row[5]:.3e}"
+        assert np.isnan(s.a_hat) and s.rel_err is None
 
 
 def test_reconstruct_rejects_fewer_than_two_admissible_frequencies():

@@ -7,7 +7,11 @@ from qcond.forward import solve_dirichlet
 from qcond.geometry import boundary_frame_at, build_disk_mesh
 from qcond.halfspace import decaying_root, halfspace_flux_symbol
 from qcond.linearized import LinearizedOperator
-from qcond.recovery import admissible_taus, extract_symbol
+from qcond.recovery import DEFAULT_LADDER, admissible_taus, extract_symbol, oscillatory_probe
+
+
+def bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_decaying_root_properties():
@@ -56,15 +60,51 @@ def test_fem_extraction_laplace():
 
 
 def test_fem_extraction_sign_flip_parity():
-    # flipping the probe orientation keeps the even part and negates the odd
+    # flipping the probe orientation conjugates the probe and, the operator
+    # being real, its flux: the even part stays and the odd part flips
     m = build_disk_mesh(1.0, 0.05)
     fr = boundary_frame_at(m, 1.2)
     mval = 0.3
-    sym = fem_symbol(m, fr, np.eye(2), m=mval)
-    P_plus, P_minus = sym.pairings
-    assert np.abs(P_minus - np.conj(P_plus)).max() < 1e-10 * np.abs(P_plus).max()
-    expect = fr.nu @ np.array([[0.0, mval], [-mval, 0.0]]) @ fr.tau
+    A = np.array([[0.0, mval], [-mval, 0.0]])
+    op = LinearizedOperator.from_fields(m, np.eye(2) + A)
+    taus = admissible_taus(m, DEFAULT_LADDER)
+    for tau in taus:
+        h, _ = oscillatory_probe(m, fr, tau)
+        assert bitwise_equal(op.dn_flux(np.conj(h)), np.conj(op.dn_flux(h)))
+    sym = extract_symbol(op.dn_flux, m, fr, taus)
+    expect = fr.nu @ A @ fr.tau
     assert sym.imag_slope * expect > 0          # orientation carried through
+
+
+def test_minus_probe_is_conjugate_of_plus():
+    # the window is real, so the minus orientation is exactly the conjugate;
+    # bitwise so wherever the imaginary part is not a zero of either sign
+    m = build_disk_mesh(1.0, 0.025)
+    taus = admissible_taus(m, DEFAULT_LADDER)
+    assert taus == [8.0, 16.0, 32.0]
+    for theta in (0.0, 0.7, 2.1, 3.5, 5.9):
+        fr = boundary_frame_at(m, theta)
+        for tau in taus:
+            h_plus, n_plus = oscillatory_probe(m, fr, tau, sign=+1)
+            h_minus, n_minus = oscillatory_probe(m, fr, tau, sign=-1)
+            assert np.array_equal(h_minus, np.conj(h_plus))
+            oscillating = h_plus.imag != 0
+            assert oscillating.sum() > 10
+            assert bitwise_equal(h_minus[oscillating], np.conj(h_plus[oscillating]))
+            assert n_minus == n_plus
+
+
+def test_extract_symbol_one_evaluation_per_frequency():
+    m = build_disk_mesh(1.0, 0.025)
+    fr = boundary_frame_at(m, 0.5)
+    calls = []
+
+    def dn_eval(h):
+        calls.append(h)
+        return m.vertex_weights * h
+
+    extract_symbol(dn_eval, m, fr, [8.0, 16.0, 32.0])
+    assert len(calls) == 3
 
 
 def test_fem_extraction_against_halfspace_oracle():
@@ -105,9 +145,9 @@ def test_richardson_intercept_consistency():
     import qcond.recovery as R
     orig = R.oscillatory_probe
 
-    def spy(mesh, frame, tau, width=None, sign=+1):
+    def spy(mesh, frame, tau, width=None):
         state["tau"] = tau
-        return orig(mesh, frame, tau, width, sign)
+        return orig(mesh, frame, tau, width)
 
     R.oscillatory_probe = spy
     try:
