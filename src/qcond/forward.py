@@ -141,50 +141,114 @@ def load_vector(mesh: Mesh, source: Callable) -> np.ndarray:
     return np.bincount(mesh.triangles.ravel(), weights=loc.ravel(), minlength=len(mesh.vertices))
 
 
-def _splu(block, permc_spec: str):
+# dissection parts of at most this many interior vertices are not split
+ND_LEAF = 16
+
+
+def _nested_dissection(mesh: Mesh):
+    """Geometric nested-dissection order of the interior vertices.
+
+    A part of more than ND_LEAF vertices is bisected at the median of one
+    coordinate, the axes alternating by level, and the upper endpoints
+    of the interior edges the bisection cuts are its separator.  Each
+    part is ordered lower half, upper half, then separator, so the two
+    halves eliminate independently and their fill meets only in the
+    separator's dense block.  Every level splits all its parts at once
+    over the edge list; ties are broken by vertex index.
+
+    Returns (order, node): the interior vertices in elimination order,
+    and per entry of ``mesh.interior_idx`` the heap index of its
+    dissection node (root 1, halves 2k and 2k + 1): the part whose
+    separator it is, or the unsplit part it ends in.
+    """
+    ii = mesh.interior_idx
+    local = np.full(len(mesh.vertices), -1)
+    local[ii] = np.arange(len(ii))
+    tri = local[mesh.triangles]
+    u, v = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]).T
+    # an edge between interior vertices lies in two triangles, once per
+    # orientation: u < v keeps each edge once
+    keep = (u >= 0) & (u < v)
+    u, v = u[keep], v[keep]
+    # each vertex's rank along each axis, ties by index
+    ranks = np.empty((2, len(ii)), dtype=np.int64)
+    for axis in (0, 1):
+        ranks[axis, np.argsort(mesh.vertices[ii, axis], kind="stable")] = np.arange(len(ii))
+    node = np.ones(len(ii), dtype=np.int64)
+    act = np.arange(len(ii))          # the vertices of parts still to split
+    level = 0
+    while len(act):
+        # by part, then by rank along this level's axis
+        srt = act[np.argsort(node[act] * len(ii) + ranks[level % 2, act])]
+        starts = np.flatnonzero(np.diff(node[srt], prepend=0))
+        size = np.diff(starts, append=len(srt))
+        upper = 2 * (np.arange(len(srt)) - np.repeat(starts, size)) >= np.repeat(size, size)
+        split = np.repeat(size > ND_LEAF, size)
+        act = srt[split]
+        node[act] = 2 * node[act] + upper[split]
+        # the upper endpoint of each cut edge joins the separator
+        cut = node[u] ^ node[v] == 1
+        sep = np.where(node[u[cut]] & 1, u[cut], v[cut])
+        node[sep] >>= 1
+        active = np.zeros(len(ii), dtype=bool)
+        active[act] = True
+        active[sep] = False
+        act = np.flatnonzero(active)
+        keep = active[u] & active[v] & (node[u] == node[v])
+        u, v = u[keep], v[keep]
+        level += 1
+    # post-order: sorted by the last leaf-level heap index under each
+    # node, deeper first on ties, a node follows its whole subtree
+    depth = np.frexp(node.astype(float))[1] - 1
+    order = np.lexsort((-depth, ((node + 1) << (level - depth)) - 1))
+    return ii[order], node
+
+
+def _splu(block):
     # threshold pivoting keeps the diagonal pivots of the near-symmetric
-    # P1 blocks, so the column order decides the fill
-    return spla.splu(block.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.1,
+    # P1 blocks, so the nested-dissection order decides the fill
+    return spla.splu(block.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1,
                      options=dict(SymmetricMode=True))
 
 
 def _laplace_factor(mesh: Mesh):
     """Laplace LU of the interior block, its boundary coupling, and the
-    interior vertices in the LU's fill-reducing order.
+    interior vertices in the mesh's nested-dissection order.
 
-    Every interior block on the mesh has the P1 pattern of this one, so
-    its minimum-degree ordering on A^T + A serves them all.  Assembling
-    the Laplacian builds that pattern too, so one call here readies the
-    mesh for every later assembly and factorization.
+    Every interior block on the mesh has the P1 pattern of this one and
+    is factored in this one order, computed here once per mesh; the
+    block and its boundary coupling are both taken at ``order``.
+    Assembling the Laplacian builds the P1 pattern too, so one call here
+    readies the mesh for every later assembly and factorization.
     """
     if "laplace_lu" not in mesh._cache:
         K = assemble_linear(mesh, np.broadcast_to(np.eye(2), (len(mesh.triangles), 2, 2)))
-        ii = mesh.interior_idx
-        bb = mesh.boundary_loop
-        lu = _splu(K[ii][:, ii], "MMD_AT_PLUS_A")
-        mesh._cache["laplace_lu"] = (lu, K[ii][:, bb], ii[np.argsort(lu.perm_c)])
+        order = _nested_dissection(mesh)[0]
+        K_o = K[order]
+        mesh._cache["laplace_lu"] = (_splu(K_o[:, order]), K_o[:, mesh.boundary_loop], order)
     return mesh._cache["laplace_lu"]
 
 
 def factor_interior(mesh: Mesh, A: sp.spmatrix):
-    """LU of the interior block of a full-mesh matrix in the mesh's order.
+    """LU of the interior block of a full-mesh matrix in the mesh's
+    nested-dissection order.
 
     Returns (lu, order): ``lu`` factors ``A[order][:, order]``, so
     right-hand sides are taken, and solutions scattered, at ``order``.
     """
     order = _laplace_factor(mesh)[2]
-    return _splu(A[order][:, order], "NATURAL"), order
+    return _splu(A[order][:, order]), order
 
 
 def harmonic_extension(mesh: Mesh, f) -> np.ndarray:
     """Discrete harmonic extension of boundary data: the cold Newton
     start, and the lift of the data change in a warm one."""
     fb = boundary_values(mesh, f)
-    lu, K_ib, _ = _laplace_factor(mesh)
+    lu, K_ib, order = _laplace_factor(mesh)
     u = np.zeros(len(mesh.vertices))
     u[mesh.boundary_loop] = fb
-    if len(mesh.interior_idx):
-        u[mesh.interior_idx] = lu.solve(-K_ib @ fb)
+    if len(order):
+        u[order] = lu.solve(-K_ib @ fb)
     return u
 
 

@@ -1,10 +1,13 @@
 """Linearized Dirichlet solves and the linearized boundary flux map.
 
 The linearized stiffness at a base solution is the forward Newton
-Jacobian; it is assembled once, factorized, and reused across many
-boundary data (the probe sweep pairs hundreds of right-hand sides with
-one factorization).  The factorization then stays on the base and
-preconditions the Newton steps of the next solve warm-started from it.
+Jacobian; it is assembled once and its interior block factorized in the
+mesh's nested-dissection order, then reused across many boundary data.
+Data come one vector or one (n_boundary, K) block at a time: a frame's
+probes at all frequencies are one multi-column solve, their real and
+imaginary parts side by side.  The factorization then stays on the base
+and preconditions the Newton steps of the next solve warm-started from
+it.
 """
 
 from __future__ import annotations
@@ -50,17 +53,20 @@ class LinearizedOperator:
         return cls(mesh, assemble_linear(mesh, M, w))
 
     def solve(self, h) -> np.ndarray:
-        """Nodal solution with boundary data h (loop order, real or complex)."""
+        """Nodal solution with boundary data h, real or complex: one
+        vector in loop order, or an (n_boundary, K) block of K columns."""
         mesh = self.mesh
         hb = np.asarray(h)
-        v = np.zeros(len(mesh.vertices), dtype=hb.dtype)
+        v = np.zeros((len(mesh.vertices),) + hb.shape[1:], dtype=hb.dtype)
         v[mesh.boundary_loop] = hb
         rhs = -self._J_ib @ hb
         if np.iscomplexobj(hb):
-            # real and imaginary parts as one two-column solve; the
-            # transpose is the column-major layout SuperLU reads uncopied
-            x = self._lu.solve(np.vstack((rhs.real, rhs.imag)).T)
-            v[self._order] = x[:, 0] + 1j * x[:, 1]
+            # real and imaginary parts as one solve of twice the columns,
+            # laid out column-major as SuperLU reads them uncopied
+            r = rhs.reshape(len(rhs), -1)
+            x = self._lu.solve(np.asfortranarray(np.hstack((r.real, r.imag))))
+            k = r.shape[1]
+            v[self._order] = (x[:, :k] + 1j * x[:, k:]).reshape(rhs.shape)
         else:
             v[self._order] = self._lu.solve(rhs)
         return v
@@ -70,8 +76,9 @@ class LinearizedOperator:
         return self._J_b @ v
 
     def dn_flux(self, h) -> np.ndarray:
-        """Linearized flux pairings of boundary data h: the derivative of
-        the DN map at the base, applied to h."""
+        """Linearized flux pairings of boundary data h (a vector or an
+        (n_boundary, K) block): the derivative of the DN map at the base,
+        applied to h."""
         return self.flux_coeffs(self.solve(h))
 
 

@@ -170,8 +170,32 @@ def test_dn_flux_commutes_with_conjugation(make_op):
     m = build_disk_mesh(1.0, 0.05)
     op = make_op(m)
     th = boundary_angles(m)
-    for h in (np.exp(5j * th) * (1.0 + 0.3 * np.cos(th)), np.exp(-2j * th) + 0.4):
+    for h in (np.exp(5j * th) * (1.0 + 0.3 * np.cos(th)), np.exp(-2j * th) + 0.4,
+              probe_block(m)):
         assert bitwise_equal(op.dn_flux(np.conj(h)), np.conj(op.dn_flux(h)))
+
+
+def probe_block(m):
+    # an (n_boundary, 3) block of oscillatory data, one column per frequency
+    th = boundary_angles(m)[:, None]
+    return np.exp(1j * np.array([4.0, 8.0, 16.0]) * th) * (1.0 + 0.3 * np.cos(th))
+
+
+@pytest.mark.parametrize("make_op", [nonsymmetric_operator, decay_base_operator])
+def test_block_solve_matches_columns(make_op):
+    # one multi-column solve rounds differently from K one-column solves,
+    # so the agreement is to roundoff, not bitwise
+    m = build_disk_mesh(1.0, 0.05)
+    op = make_op(m)
+    H = probe_block(m)
+    for block in (H, H.real):
+        V = op.solve(block)
+        F = op.dn_flux(block)
+        assert V.shape == (len(m.vertices), 3) and F.shape == (len(m.boundary_loop), 3)
+        for k in range(block.shape[1]):
+            v, f = op.solve(block[:, k]), op.dn_flux(block[:, k])
+            assert np.linalg.norm(V[:, k] - v) <= 1e-13 * np.linalg.norm(v)
+            assert np.linalg.norm(F[:, k] - f) <= 1e-13 * np.linalg.norm(f)
 
 
 @pytest.mark.parametrize("make_op", [nonsymmetric_operator, decay_base_operator])

@@ -195,26 +195,13 @@ def test_extract_symbol_on_synthetic_multiplier():
     fr = boundary_frame_at(m, 0.4)
     c1, c0, d1 = 1.7, 0.8, -0.35
     taus = [8.0, 16.0, 32.0]
+    # the block holds one probe per frequency, in increasing order
+    tau_col = np.array(sorted(taus))
 
-    state = {}
+    def dn_eval(H):
+        return m.vertex_weights[:, None] * (c1 * tau_col + c0 + 1j * d1 * tau_col) * H
 
-    def dn_eval(h):
-        tau = state["tau"]
-        return m.vertex_weights * (c1 * tau + c0 + 1j * d1 * tau) * h
-
-    # the evaluator reads the frequency of the probe being applied
-    import qcond.recovery as R
-    orig = R.oscillatory_probe
-
-    def probe_spy(mesh, frame, tau, width=None):
-        state["tau"] = tau
-        return orig(mesh, frame, tau, width)
-
-    R.oscillatory_probe, saved = probe_spy, R.oscillatory_probe
-    try:
-        sym = extract_symbol(dn_eval, m, fr, taus)
-    finally:
-        R.oscillatory_probe = saved
+    sym = extract_symbol(dn_eval, m, fr, taus)
     assert abs(sym.real_slope - c1) < 1e-10
     assert abs(sym.imag_slope - d1) < 1e-10
     assert abs(sym.real_intercept - c0) < 1e-9
@@ -230,8 +217,8 @@ def test_extract_symbol_flags_nonlinear_response():
     rng = np.random.default_rng(3)
     noise = rng.normal(size=len(m.boundary_loop))
 
-    def dn_eval(h):
-        return m.vertex_weights * noise * np.abs(h)   # no coherent linear part
+    def dn_eval(H):
+        return (m.vertex_weights * noise)[:, None] * np.abs(H)   # no coherent linear part
 
     sym = extract_symbol(dn_eval, m, fr, [8.0, 16.0, 32.0])
     assert not sym.reliable

@@ -76,35 +76,18 @@ def test_fem_extraction_sign_flip_parity():
     assert sym.imag_slope * expect > 0          # orientation carried through
 
 
-def test_minus_probe_is_conjugate_of_plus():
-    # the window is real, so the minus orientation is exactly the conjugate;
-    # bitwise so wherever the imaginary part is not a zero of either sign
-    m = build_disk_mesh(1.0, 0.025)
-    taus = admissible_taus(m, DEFAULT_LADDER)
-    assert taus == [8.0, 16.0, 32.0]
-    for theta in (0.0, 0.7, 2.1, 3.5, 5.9):
-        fr = boundary_frame_at(m, theta)
-        for tau in taus:
-            h_plus, n_plus = oscillatory_probe(m, fr, tau, sign=+1)
-            h_minus, n_minus = oscillatory_probe(m, fr, tau, sign=-1)
-            assert np.array_equal(h_minus, np.conj(h_plus))
-            oscillating = h_plus.imag != 0
-            assert oscillating.sum() > 10
-            assert bitwise_equal(h_minus[oscillating], np.conj(h_plus[oscillating]))
-            assert n_minus == n_plus
-
-
-def test_extract_symbol_one_evaluation_per_frequency():
+def test_extract_symbol_one_evaluation_per_frame():
     m = build_disk_mesh(1.0, 0.025)
     fr = boundary_frame_at(m, 0.5)
     calls = []
 
-    def dn_eval(h):
-        calls.append(h)
-        return m.vertex_weights * h
+    def dn_eval(H):
+        calls.append(H)
+        return m.vertex_weights[:, None] * H
 
     extract_symbol(dn_eval, m, fr, [8.0, 16.0, 32.0])
-    assert len(calls) == 3
+    assert len(calls) == 1
+    assert calls[0].shape == (len(m.boundary_loop), 3)
 
 
 def test_fem_extraction_against_halfspace_oracle():
@@ -137,23 +120,10 @@ def test_richardson_intercept_consistency():
     fr = boundary_frame_at(m, 0.9)
     c1, c0 = 1.4, 0.9
 
-    state = {}
+    def dn_eval(H):
+        return m.vertex_weights[:, None] * (c1 * np.array([8.0, 16.0]) + c0) * H
 
-    def dn_eval(h):
-        return m.vertex_weights * (c1 * state["tau"] + c0) * h
-
-    import qcond.recovery as R
-    orig = R.oscillatory_probe
-
-    def spy(mesh, frame, tau, width=None):
-        state["tau"] = tau
-        return orig(mesh, frame, tau, width)
-
-    R.oscillatory_probe = spy
-    try:
-        sym = extract_symbol(dn_eval, m, fr, [8.0, 16.0])
-    finally:
-        R.oscillatory_probe = orig
+    sym = extract_symbol(dn_eval, m, fr, [8.0, 16.0])
     P8, P16 = sym.pairings[0].real
     contamination = [P8 / 8.0 - c1, P16 / 16.0 - c1]
     assert abs(contamination[0] / contamination[1] - 2.0) < 1e-9
