@@ -139,13 +139,23 @@ def c2_surrogate_norm(mesh: Mesh, f_values: np.ndarray, s: float) -> float:
     return float(max(np.abs(g).max(), np.abs(d1).max(), np.abs(d2).max()))
 
 
+# "small" prescribes jets with log barriers inside the small-gradient
+# radius, "decay" with exp barriers on models with a decay constant
+REGIMES = ("small", "decay")
+
+
 @dataclass(frozen=True)
 class JetRequest:
     """Target boundary jet at a frame, in original coordinates."""
     frame: BoundaryFrame
     s: float
     p: np.ndarray
-    regime: str = "small"      # "small" (log barriers) or "decay" (exp barriers)
+    regime: str = "small"
+
+    def __post_init__(self):
+        if self.regime not in REGIMES:
+            raise ValueError(f"regime must be one of {', '.join(REGIMES)}, "
+                             f"got {self.regime!r}")
 
 
 @dataclass

@@ -18,6 +18,7 @@ def _load(args) -> harness.RunConfig:
         cfg.seed = args.seed
     if args.jobs is not None:
         cfg.jobs = args.jobs
+    harness.validate_config(cfg)
     return cfg
 
 

@@ -18,7 +18,10 @@ from scipy.spatial import Delaunay
 class Mesh:
     """Triangulated convex domain with an oriented boundary loop.
 
-    Immutable after construction; shared read-only across solves.
+    Immutable after construction; shared read-only across solves.  Every
+    geometric array is computed here, once.  ``_cache`` holds only what
+    the solvers build lazily on the mesh (the P1 pattern, the Laplace LU
+    with its interior order, the patch-recovery operator).
 
     Attributes
     ----------
@@ -29,6 +32,17 @@ class Mesh:
     boundary_normals : (B, 2) float array, outward unit normal per edge
     h : target edge length
     diameter : domain diameter
+    areas : (T,) triangle areas
+    hat_gradients : (T, 3, 2) gradients of the three barycentric hats
+    centroids : (T, 2) triangle centroids
+    interior_idx : indices of the non-boundary vertices
+    edge_lengths : (B,) boundary edge lengths
+    perimeter : boundary length
+    arclength : (B,) cumulative arclength at each loop vertex, from loop[0]
+    vertex_weights : (B,) boundary quadrature weight per loop vertex
+        (half the adjacent edges)
+    vertex_normals : (B, 2) outward unit normal per loop vertex
+        (adjacent-edge average)
     """
 
     def __init__(self, vertices, triangles, boundary_loop, h, diameter):
@@ -37,97 +51,38 @@ class Mesh:
         self.boundary_loop = np.asarray(boundary_loop, dtype=int)
         self.h = float(h)
         self.diameter = float(diameter)
+        self._cache = {}
+
+        v = self.vertices[self.triangles]          # (T, 3, 2)
+        self.centroids = v.mean(axis=1)
+        d1 = v[:, 1] - v[:, 0]
+        d2 = v[:, 2] - v[:, 0]
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        self.areas = 0.5 * det
+        g = np.empty((len(self.triangles), 3, 2))
+        g[:, 1, 0] = d2[:, 1] / det
+        g[:, 1, 1] = -d2[:, 0] / det
+        g[:, 2, 0] = -d1[:, 1] / det
+        g[:, 2, 1] = d1[:, 0] / det
+        g[:, 0] = -g[:, 1] - g[:, 2]
+        self.hat_gradients = g
+
         loop = self.boundary_loop
+        interior = np.ones(len(self.vertices), dtype=bool)
+        interior[loop] = False
+        self.interior_idx = np.flatnonzero(interior)
         self.boundary_edges = np.stack([loop, np.roll(loop, -1)], axis=1)
         e = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
         # CCW loop: outward normal is the edge direction rotated by -90 degrees
         n = np.stack([e[:, 1], -e[:, 0]], axis=1)
         self.boundary_normals = n / np.linalg.norm(n, axis=1, keepdims=True)
-        self._cache = {}
-
-    # -- P1 element data ---------------------------------------------------
-
-    def _p1(self):
-        if "p1" not in self._cache:
-            v = self.vertices[self.triangles]          # (T, 3, 2)
-            d1 = v[:, 1] - v[:, 0]
-            d2 = v[:, 2] - v[:, 0]
-            det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-            area = 0.5 * det
-            # gradients of the three barycentric hats, (T, 3, 2)
-            g = np.empty((len(self.triangles), 3, 2))
-            g[:, 1, 0] = d2[:, 1] / det
-            g[:, 1, 1] = -d2[:, 0] / det
-            g[:, 2, 0] = -d1[:, 1] / det
-            g[:, 2, 1] = d1[:, 0] / det
-            g[:, 0] = -g[:, 1] - g[:, 2]
-            self._cache["p1"] = (area, g)
-        return self._cache["p1"]
-
-    @property
-    def areas(self):
-        return self._p1()[0]
-
-    @property
-    def hat_gradients(self):
-        return self._p1()[1]
-
-    @property
-    def centroids(self):
-        if "centroids" not in self._cache:
-            self._cache["centroids"] = self.vertices[self.triangles].mean(axis=1)
-        return self._cache["centroids"]
-
-    # -- boundary bookkeeping ----------------------------------------------
-
-    @property
-    def is_boundary(self):
-        if "is_boundary" not in self._cache:
-            m = np.zeros(len(self.vertices), dtype=bool)
-            m[self.boundary_loop] = True
-            self._cache["is_boundary"] = m
-        return self._cache["is_boundary"]
-
-    @property
-    def interior_idx(self):
-        if "interior" not in self._cache:
-            self._cache["interior"] = np.flatnonzero(~self.is_boundary)
-        return self._cache["interior"]
-
-    @property
-    def edge_lengths(self):
-        if "elen" not in self._cache:
-            d = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
-            self._cache["elen"] = np.linalg.norm(d, axis=1)
-        return self._cache["elen"]
-
-    @property
-    def perimeter(self):
-        return float(self.edge_lengths.sum())
-
-    @property
-    def arclength(self):
-        """Cumulative arclength at each loop vertex, starting at loop[0]."""
-        if "arc" not in self._cache:
-            s = np.concatenate([[0.0], np.cumsum(self.edge_lengths[:-1])])
-            self._cache["arc"] = s
-        return self._cache["arc"]
-
-    @property
-    def vertex_weights(self):
-        """Boundary quadrature weight per loop vertex (half adjacent edges)."""
-        if "vw" not in self._cache:
-            el = self.edge_lengths
-            self._cache["vw"] = 0.5 * (el + np.roll(el, 1))
-        return self._cache["vw"]
-
-    @property
-    def vertex_normals(self):
-        """Outward unit normal per loop vertex (adjacent-edge average)."""
-        if "vn" not in self._cache:
-            n = self.boundary_normals + np.roll(self.boundary_normals, 1, axis=0)
-            self._cache["vn"] = n / np.linalg.norm(n, axis=1, keepdims=True)
-        return self._cache["vn"]
+        el = np.linalg.norm(e, axis=1)
+        self.edge_lengths = el
+        self.perimeter = float(el.sum())
+        self.arclength = np.concatenate([[0.0], np.cumsum(el[:-1])])
+        self.vertex_weights = 0.5 * (el + np.roll(el, 1))
+        n = self.boundary_normals + np.roll(self.boundary_normals, 1, axis=0)
+        self.vertex_normals = n / np.linalg.norm(n, axis=1, keepdims=True)
 
 
 def _delaunay_mesh(points, boundary_count, h, diameter):

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .barriers import JetRequest, prescribe_jet
+from .barriers import REGIMES, JetRequest, prescribe_jet
 from .conductivity import (ConductivitySpec, check_structural_conditions,
                            evaluate_with_derivatives, linearized_matrix, make_preset)
 from .forward import (_triangle_state, assemble_jacobian, manufactured_solution,
@@ -44,37 +44,45 @@ class RunConfig:
     regime: str = "small"
     radius: float = 1.0
     h: float = 0.05
-    s_values: tuple = (0.0,)
+    s_values: tuple[float, ...] = (0.0,)
     n_directions: int = 8
     n_radii: int = 4
     radius_fraction: float = 0.8
     r_max: Optional[float] = None
-    tau_ladder: tuple = DEFAULT_LADDER
+    tau_ladder: tuple[float, ...] = DEFAULT_LADDER
     width_factor: float = 1.0
     nyquist_nodes: int = 10
     newton_tol: float = 1e-10
     pi1: float = 1.0
     big_n: float = 10.0
-    structural_s_range: tuple = (-2.0, 2.0)
+    structural_s_range: tuple[float, ...] = (-2.0, 2.0)
     structural_p_max: float = 2.0
-    convergence_h: tuple = (0.1, 0.05)
-    stages: tuple = ("structural", "mesh", "convergence", "linearization",
-                     "geometric", "reconstruction")
+    convergence_h: tuple[float, ...] = (0.1, 0.05)
+    # the default runs every stage, in order
+    stages: tuple[str, ...] = ("structural", "mesh", "convergence", "linearization",
+                               "geometric", "reconstruction")
     jet_batch: Optional[str] = None
     out_dir: str = "qcond_out"
     seed: int = 1234
     jobs: int = 1
 
-    _FLOAT = {"radius", "h", "radius_fraction", "r_max", "width_factor", "newton_tol",
-              "pi1", "big_n", "structural_p_max"}
-    _INT = {"n_directions", "n_radii", "nyquist_nodes", "seed", "jobs"}
-    _TUPLE_FLOAT = {"s_values", "tau_ladder", "convergence_h", "structural_s_range"}
-    _TUPLE_STR = {"stages"}
+
+def _value_parser(tp):
+    """Parser of one config value into a field of type ``tp``."""
+    args = [a for a in get_args(tp) if a is not Ellipsis]
+    if type(None) in args:          # Optional[X] parses as X
+        return _value_parser(args[0])
+    if args:                        # tuple[X, ...]: comma-separated X items
+        item = args[0]
+        return lambda v: tuple(item(t.strip()) for t in v.split(",") if t.strip())
+    return tp
+
+
+_PARSERS = {name: _value_parser(tp) for name, tp in get_type_hints(RunConfig).items()}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse the line-based config format; errors carry line and key."""
-    known = {f.name for f in dc_fields(RunConfig) if not f.name.startswith("_")}
     cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -86,19 +94,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in known:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in RunConfig._FLOAT:
-                setattr(cfg, key, float(value))
-            elif key in RunConfig._INT:
-                setattr(cfg, key, int(value))
-            elif key in RunConfig._TUPLE_FLOAT:
-                setattr(cfg, key, tuple(float(t) for t in value.split(",") if t.strip()))
-            elif key in RunConfig._TUPLE_STR:
-                setattr(cfg, key, tuple(t.strip() for t in value.split(",") if t.strip()))
-            else:
-                setattr(cfg, key, value)
+            setattr(cfg, key, _PARSERS[key](value))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from None
     validate_config(cfg)
@@ -114,8 +113,15 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("mesh: need 0 < h < radius")
     if not cfg.s_values:
         raise ConfigError("s_values must be non-empty")
-    if cfg.regime not in ("small", "decay"):
-        raise ConfigError(f"regime must be small or decay, got {cfg.regime!r}")
+    if cfg.regime not in REGIMES:
+        raise ConfigError(f"regime must be one of {', '.join(REGIMES)}, got {cfg.regime!r}")
+    unknown = [s for s in cfg.stages if s not in RunConfig.stages]
+    if unknown:
+        raise ConfigError(f"unknown stages {', '.join(unknown)}; "
+                          f"valid stages: {', '.join(RunConfig.stages)}")
+    for name, least in (("n_radii", 2), ("n_directions", 1), ("jobs", 1)):
+        if getattr(cfg, name) < least:
+            raise ConfigError(f"{name} must be at least {least}")
     if cfg.regime == "decay" and "reconstruction" in cfg.stages and cfg.r_max is None:
         raise ConfigError("decay regime needs r_max")
     for name, v in (("newton_tol", cfg.newton_tol), ("width_factor", cfg.width_factor),
@@ -201,6 +207,9 @@ def run_jet_batch(cond: ConductivitySpec, mesh: Mesh, path, *, pi1=1.0, big_n=10
                               f"'jet theta s p1 p2 regime', got {raw!r}")
         theta, s, p1, p2 = map(float, parts[1:5])
         regime = parts[5]
+        if regime not in REGIMES:
+            raise ConfigError(f"jet batch line {lineno}: regime must be one of "
+                              f"{', '.join(REGIMES)}, got {regime!r}")
         frame = boundary_frame_at(mesh, theta)
         req = JetRequest(frame=frame, s=s, p=np.array([p1, p2]), regime=regime)
         try:

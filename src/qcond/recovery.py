@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barriers import JetRequest, prescribe_jet
+from .barriers import REGIMES, JetRequest, prescribe_jet
 from .conductivity import ConductivitySpec, _smoothstep, jet_radius
 from .forward import SolveError, _laplace_factor, solve_dirichlet
 from .geometry import BoundaryFrame, Mesh, boundary_frame_at
@@ -328,6 +328,10 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
     Every sample is scored against ``cond`` itself (``a_true``,
     ``rel_err``): a run reconstructs a known model, there is no blind mode.
     """
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {', '.join(REGIMES)}, got {regime!r}")
+    if grid.n_radii < 2:
+        raise ValueError("the radial inversion needs n_radii >= 2 (at least 3 nodes)")
     taus = admissible_taus(mesh, tau_ladder, nyquist_nodes)
     if len(taus) < 2:
         raise ValueError("mesh too coarse for the frequency ladder")
@@ -419,12 +423,12 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
             progress(task)
         return out, symrows
 
+    # every assembly and factorization of every chain uses the mesh's
+    # P1 pattern and interior order: build both before any chain, so no
+    # chain writes to the mesh
+    _laplace_factor(mesh)
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
-        # every assembly and factorization of every chain uses the mesh's
-        # P1 pattern and interior order: build both before the threads
-        # share the mesh cache
-        _laplace_factor(mesh)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(run_chain, tasks))
     else:

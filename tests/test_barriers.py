@@ -200,6 +200,14 @@ def test_decay_request_needs_decay_constant():
                       JetRequest(frame=fr, s=0.0, p=2.0 * fr.tau, regime="decay"))
 
 
+def test_jet_request_rejects_unknown_regime():
+    # an unknown regime is not read as either barrier family
+    fr = boundary_frame_at(build_disk_mesh(1.0, 0.2), 0.0)
+    with pytest.raises(ValueError, match="^regime must be one of small, decay, "
+                                         r"got 'bogus'$"):
+        JetRequest(frame=fr, s=0.0, p=0.1 * fr.tau, regime="bogus")
+
+
 def test_bracket_failure_reported():
     m = build_disk_mesh(1.0, 0.2)
     cond = preset_p_gauss(0.25)

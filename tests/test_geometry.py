@@ -32,6 +32,18 @@ def test_boundary_count_doubles():
     assert 1.8 < n2 / n1 < 2.2
 
 
+def test_mesh_geometry_is_computed_at_construction():
+    # every geometric array is a plain attribute, set when the mesh is
+    # built; the cache is left to what the solvers build lazily
+    m = build_disk_mesh(1.0, 0.2)
+    names = ("areas", "hat_gradients", "centroids", "interior_idx", "edge_lengths",
+             "perimeter", "arclength", "vertex_weights", "vertex_normals")
+    assert set(names) <= set(vars(m))
+    for name in names:
+        getattr(m, name)
+    assert m._cache == {}
+
+
 def test_degenerate_h_rejected():
     with pytest.raises(ValueError):
         build_disk_mesh(1.0, 0.0)

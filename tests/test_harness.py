@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,12 +51,44 @@ def test_parse_rejects_fit_threshold():
 def test_validation_errors():
     with pytest.raises(ConfigError, match="h < radius"):
         parse_config("h = 2.0\nradius = 1.0")
-    with pytest.raises(ConfigError, match="regime"):
+    with pytest.raises(ConfigError, match="^regime must be one of small, decay, "
+                                          "got 'sideways'$"):
         parse_config("regime = sideways")
     with pytest.raises(ConfigError, match="r_max"):
         parse_config("regime = decay")
     with pytest.raises(ConfigError, match="s_values"):
         parse_config("s_values = ")
+    # a misspelt stage would run nothing and report success
+    with pytest.raises(ConfigError, match="unknown stages reconstuction; valid stages: "
+                                          "structural, mesh, convergence, linearization, "
+                                          "geometric, reconstruction"):
+        parse_config("stages = mesh, reconstuction")
+    # the Simpson identity needs at least 3 radial nodes
+    with pytest.raises(ConfigError, match="n_radii must be at least 2"):
+        parse_config("n_radii = 1")
+    with pytest.raises(ConfigError, match="n_directions must be at least 1"):
+        parse_config("n_directions = 0")
+    with pytest.raises(ConfigError, match="jobs must be at least 1"):
+        parse_config("jobs = 0")
+
+
+def test_every_field_round_trips_through_parse_config():
+    # each key is parsed by its field's type: a non-default value of that
+    # type, written out, reads back with the same repr
+    values = dict(conductivity="p_lorentz(0.3)", regime="decay", radius=2.0, h=0.1,
+                  s_values=(0.5, -0.5), n_directions=3, n_radii=5, radius_fraction=0.5,
+                  r_max=3.0, tau_ladder=(4.0, 8.0), width_factor=2.0, nyquist_nodes=12,
+                  newton_tol=1e-9, pi1=2.0, big_n=5.0, structural_s_range=(-1.0, 1.0),
+                  structural_p_max=1.5, convergence_h=(0.2, 0.1),
+                  stages=("mesh", "reconstruction"), jet_batch="jets.txt", out_dir="out",
+                  seed=7, jobs=2)
+    assert set(values) == {f.name for f in dataclasses.fields(RunConfig)}
+    text = "\n".join(f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}"
+                     for k, v in values.items())
+    cfg, default = parse_config(text), RunConfig()
+    for k, v in values.items():
+        assert getattr(default, k) != v, k
+        assert repr(getattr(cfg, k)) == repr(v), k
 
 
 def test_error_stats_exact_and_scaled():
@@ -166,6 +200,12 @@ def test_jet_batch(tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("jets 0 0 0 0 small\n")
         run_jet_batch(preset_p_gauss(0.25), mesh, bad)
+    # an unknown regime is a malformed line, not a run of either barrier
+    bad.write_text("jet 0.0 0.2 0.02 0.01 small\n"
+                   "jet 0.0 0.2 0.02 0.01 bogus\n")
+    with pytest.raises(ConfigError, match="^jet batch line 2: regime must be one of "
+                                          "small, decay, got 'bogus'$"):
+        run_jet_batch(preset_p_gauss(0.25), mesh, bad)
 
 
 def test_write_csv_schema(tmp_path):
@@ -190,6 +230,8 @@ def test_cli_round_trip(tmp_path):
     assert rc == 0
     assert (tmp_path / "msh" / "mesh.txt").exists()
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+    # overrides are validated like the file
+    assert main(["run", str(cfgfile), "--jobs", "0"]) == 2
 
 
 def test_load_config_file(tmp_path):
@@ -212,17 +254,19 @@ def test_reconstruct_jobs_deterministic():
     grids = [reconstruct(cond, mesh, (0.0,), PolarGrid(n_directions=3, n_radii=2),
                          jobs=j) for j in (1, 3)]
     assert samples(grids[0]) == samples(grids[1])
-    # cold cache: each run starts on a fresh mesh, so the threads of the
-    # jobs=2 run meet a mesh whose interior order is not built yet
+    # fresh meshes: each run builds its mesh's solver state itself, before
+    # its chains start
     cond = preset_p_lorentz(0.2)
     grids = [reconstruct(cond, build_disk_mesh(1.0, 0.05), (0.0,),
                          PolarGrid(n_directions=2, n_radii=3), jobs=j) for j in (1, 2)]
     assert samples(grids[0]) == samples(grids[1])
 
 
-def test_reconstruct_builds_mesh_cache_before_threads(monkeypatch):
-    # every chain starts by looking up its frame; by then the threads must
-    # find the Laplace LU with its interior order and the P1 pattern built
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_reconstruct_builds_mesh_cache_before_threads(monkeypatch, jobs):
+    # every chain starts by looking up its frame; by then, for every jobs,
+    # it must find the Laplace LU with its interior order and the P1
+    # pattern built, so no chain writes to the mesh
     from qcond import recovery
     from qcond.conductivity import preset_p_lorentz
 
@@ -236,5 +280,5 @@ def test_reconstruct_builds_mesh_cache_before_threads(monkeypatch):
     monkeypatch.setattr(recovery, "boundary_frame_at", spy)
     recovery.reconstruct(preset_p_lorentz(0.2), build_disk_mesh(1.0, 0.1), (0.0,),
                          recovery.PolarGrid(n_directions=2, n_radii=2),
-                         tau_ladder=(2.0, 4.0), jobs=2)
+                         tau_ladder=(2.0, 4.0), jobs=jobs)
     assert seen == [True, True]

@@ -285,3 +285,43 @@ def test_reconstruct_rejects_fewer_than_two_admissible_frequencies():
     with pytest.raises(ValueError, match="mesh too coarse for the frequency ladder"):
         reconstruct(preset_constant(1.0), mesh, (0.0,),
                     PolarGrid(n_directions=1, n_radii=2), tau_ladder=ladder)
+
+
+@pytest.mark.parametrize("grid,regime,cause", [
+    # one radius gives two nodes, and the radial identity needs three
+    (PolarGrid(n_directions=1, n_radii=1), "small", r"n_radii >= 2"),
+    (PolarGrid(n_directions=1, n_radii=2, r_max=1.0), "bogus",
+     "^regime must be one of small, decay, got 'bogus'$"),
+])
+def test_reconstruct_rejects_bad_requests_before_any_solve(grid, regime, cause):
+    # the mesh's solver state is never built
+    from qcond.conductivity import preset_decay_mix
+    from qcond.recovery import reconstruct
+    mesh = build_disk_mesh(1.0, 0.1)
+    with pytest.raises(ValueError, match=cause):
+        reconstruct(preset_decay_mix(0.2, 0.05, 0.1), mesh, (0.0,), grid, regime=regime,
+                    tau_ladder=(2.0, 4.0))
+    assert mesh._cache == {}
+
+
+def test_reconstruct_records_integration_failure(monkeypatch):
+    # a nonpositive D at one node invalidates the whole radial inversion:
+    # every sample of the chain records it and none is recovered
+    import qcond.recovery as R
+    from qcond.conductivity import preset_p_lorentz
+    measured = R.measured_invariants
+    calls = []
+
+    def negative_at_second_node(sym):
+        calls.append(sym)
+        det, anti = measured(sym)
+        return (-1.0 - anti ** 2, anti) if len(calls) == 2 else (det, anti)
+
+    monkeypatch.setattr(R, "measured_invariants", negative_at_second_node)
+    grid = R.reconstruct(preset_p_lorentz(0.2), build_disk_mesh(1.0, 0.1), (0.0,),
+                         PolarGrid(n_directions=1, n_radii=2), tau_ladder=(2.0, 4.0))
+    assert len(calls) == 3 and len(grid.samples) == 2
+    for s in grid.samples:
+        assert s.status == ("integration: nonpositive determinant measurement D; "
+                            "inversion invalid")
+        assert np.isnan(s.a_hat) and s.rel_err is None
