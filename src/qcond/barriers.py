@@ -11,7 +11,6 @@ scalar root-find over the barrier's normal-slope parameter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -179,10 +178,10 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
                   warm_start: Optional[DiscreteSolution] = None) -> JetResult:
     """Construct boundary data whose solution attains the requested jet.
 
-    The data is the trace of a one-parameter barrier family
-    f_t = s + p' y1 + t g(y2) with g >= 0, so f_t is pointwise monotone
-    in t and the achieved normal slope at the frame is monotone by the
-    comparison principle.  The root in t is located by safeguarded
+    The data is the trace of the barrier with normal slope t (log, or exp
+    with its step frozen), f_t = s + p' y1 + t g(y2) with g >= 0, so f_t
+    is pointwise monotone in t and the achieved normal slope at the frame
+    is monotone by the comparison principle.  The root in t is located by safeguarded
     regula falsi (Illinois) inside the comparison bracket; at the
     bracket endpoints the family member is an exact sub/supersolution.
     Each Dirichlet solve is warm-started from the previous one, the first
@@ -203,21 +202,21 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
             raise ValueError(f"jet outside the small-gradient radius: |p|="
                              f"{np.linalg.norm(p):.4g} >= pi(s)={jr.pi:.4g}")
         bracket = jr.b1
+
+        def barrier(t):
+            return log_barrier(request.s, (p_t, t), jr.A)
     else:
         if cond.decay_constant is None:
             raise ValueError("decay-regime request on a model without a decay constant")
         bracket = max(1.0, 1.5 * abs(p_n))
+        # the step rule is applied once, at the bracket endpoint
+        C = float(cond.decay_constant)
+        h0 = exp_barrier(request.s, (p_t, bracket), C, diam=mesh.diameter).param
+
+        def barrier(t):
+            return exp_barrier(request.s, (p_t, t), C, h=h0)
 
     yb = iso.apply(mesh.vertices[mesh.boundary_loop])
-    f_base = request.s + p_t * yb[:, 0]
-    if request.regime == "small":
-        A = jr.A
-        g_fam = -A * np.log1p(-yb[:, 1] / A)
-    else:
-        C = float(cond.decay_constant)
-        denom = C * math.hypot(p_t, bracket)
-        h_fam = bracket / denom if denom > 0 else 2.0 * mesh.diameter
-        g_fam = h_fam * np.expm1(yb[:, 1] / h_fam)
 
     solves = 0
     prev = warm_start
@@ -227,7 +226,7 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
         nonlocal solves, prev
         if t in cache:
             return cache[t]
-        f_t = f_base + t * g_fam
+        f_t = barrier(t).value(yb)
         sol = solve_dirichlet(cond, mesh, f_t, tol=newton_tol, warm_start=prev)
         solves += 1
         prev = sol

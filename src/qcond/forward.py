@@ -141,132 +141,68 @@ def load_vector(mesh: Mesh, source: Callable) -> np.ndarray:
     return np.bincount(mesh.triangles.ravel(), weights=loc.ravel(), minlength=len(mesh.vertices))
 
 
-# dissection parts of at most this many interior vertices are not split
-ND_LEAF = 16
-
-
-def _nested_dissection(mesh: Mesh):
-    """Geometric nested-dissection order of the interior vertices.
-
-    A part of more than ND_LEAF vertices is bisected at the median of one
-    coordinate, the axes alternating by level, and the upper endpoints
-    of the interior edges the bisection cuts are its separator.  Each
-    part is ordered lower half, upper half, then separator, so the two
-    halves eliminate independently and their fill meets only in the
-    separator's dense block.  Every level splits all its parts at once
-    over the edge list; ties are broken by vertex index.
-
-    Returns (order, node): the interior vertices in elimination order,
-    and per entry of ``mesh.interior_idx`` the heap index of its
-    dissection node (root 1, halves 2k and 2k + 1): the part whose
-    separator it is, or the unsplit part it ends in.
-    """
-    ii = mesh.interior_idx
-    local = np.full(len(mesh.vertices), -1)
-    local[ii] = np.arange(len(ii))
-    tri = local[mesh.triangles]
-    u, v = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]).T
-    # an edge between interior vertices lies in two triangles, once per
-    # orientation: u < v keeps each edge once
-    keep = (u >= 0) & (u < v)
-    u, v = u[keep], v[keep]
-    # each vertex's rank along each axis, ties by index
-    ranks = np.empty((2, len(ii)), dtype=np.int64)
-    for axis in (0, 1):
-        ranks[axis, np.argsort(mesh.vertices[ii, axis], kind="stable")] = np.arange(len(ii))
-    node = np.ones(len(ii), dtype=np.int64)
-    act = np.arange(len(ii))          # the vertices of parts still to split
-    level = 0
-    while len(act):
-        # by part, then by rank along this level's axis
-        srt = act[np.argsort(node[act] * len(ii) + ranks[level % 2, act])]
-        starts = np.flatnonzero(np.diff(node[srt], prepend=0))
-        size = np.diff(starts, append=len(srt))
-        upper = 2 * (np.arange(len(srt)) - np.repeat(starts, size)) >= np.repeat(size, size)
-        split = np.repeat(size > ND_LEAF, size)
-        act = srt[split]
-        node[act] = 2 * node[act] + upper[split]
-        # the upper endpoint of each cut edge joins the separator
-        cut = node[u] ^ node[v] == 1
-        sep = np.where(node[u[cut]] & 1, u[cut], v[cut])
-        node[sep] >>= 1
-        active = np.zeros(len(ii), dtype=bool)
-        active[act] = True
-        active[sep] = False
-        act = np.flatnonzero(active)
-        keep = active[u] & active[v] & (node[u] == node[v])
-        u, v = u[keep], v[keep]
-        level += 1
-    # post-order: sorted by the last leaf-level heap index under each
-    # node, deeper first on ties, a node follows its whole subtree
-    depth = np.frexp(node.astype(float))[1] - 1
-    order = np.lexsort((-depth, ((node + 1) << (level - depth)) - 1))
-    return ii[order], node
-
-
-def _splu(block):
-    # threshold pivoting keeps the diagonal pivots of the near-symmetric
-    # P1 blocks, so the nested-dissection order decides the fill
-    return spla.splu(block.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1,
+def factor_interior(mesh: Mesh, A: sp.spmatrix) -> spla.SuperLU:
+    """LU of the interior block ``A[:n_interior, :n_interior]``, in the
+    mesh's nested-dissection numbering: threshold pivoting keeps the
+    diagonal pivots of the near-symmetric P1 blocks, so that order
+    decides the fill."""
+    ni = mesh.n_interior
+    return spla.splu(A[:ni, :ni].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1,
                      options=dict(SymmetricMode=True))
 
 
 def _laplace_factor(mesh: Mesh):
-    """Laplace LU of the interior block, its boundary coupling, and the
-    interior vertices in the mesh's nested-dissection order.
-
-    Every interior block on the mesh has the P1 pattern of this one and
-    is factored in this one order, computed here once per mesh; the
-    block and its boundary coupling are both taken at ``order``.
-    Assembling the Laplacian builds the P1 pattern too, so one call here
-    readies the mesh for every later assembly and factorization.
-    """
+    """Laplace LU of the interior block and its boundary coupling
+    ``K[:n_interior, n_interior:]``, once per mesh.  Assembling K builds
+    the P1 pattern too, which readies the mesh for every assembly."""
     if "laplace_lu" not in mesh._cache:
         K = assemble_linear(mesh, np.broadcast_to(np.eye(2), (len(mesh.triangles), 2, 2)))
-        order = _nested_dissection(mesh)[0]
-        K_o = K[order]
-        mesh._cache["laplace_lu"] = (_splu(K_o[:, order]), K_o[:, mesh.boundary_loop], order)
+        ni = mesh.n_interior
+        mesh._cache["laplace_lu"] = (factor_interior(mesh, K), K[:ni, ni:])
     return mesh._cache["laplace_lu"]
 
 
-def factor_interior(mesh: Mesh, A: sp.spmatrix):
-    """LU of the interior block of a full-mesh matrix in the mesh's
-    nested-dissection order.
-
-    Returns (lu, order): ``lu`` factors ``A[order][:, order]``, so
-    right-hand sides are taken, and solutions scattered, at ``order``.
-    """
-    order = _laplace_factor(mesh)[2]
-    return _splu(A[order][:, order]), order
+def lift(mesh: Mesh, lu: spla.SuperLU, A_ib: sp.spmatrix, h) -> np.ndarray:
+    """Nodal v with boundary values h and vanishing interior rows of A v:
+    ``lu`` factors A's interior block, ``A_ib`` is A[:n_interior, n_interior:].
+    h is a real or complex vector, or an (n_boundary, K) block."""
+    ni = mesh.n_interior
+    h = np.asarray(h)
+    rhs = -(A_ib @ h)
+    v = np.empty((len(mesh.vertices),) + h.shape[1:], dtype=rhs.dtype)
+    v[ni:] = h
+    if np.iscomplexobj(rhs):
+        # real and imaginary parts as one solve of twice the columns,
+        # laid out column-major as SuperLU reads them uncopied
+        r = rhs.reshape(ni, -1)
+        x = lu.solve(np.asfortranarray(np.hstack((r.real, r.imag))))
+        k = r.shape[1]
+        v[:ni] = (x[:, :k] + 1j * x[:, k:]).reshape(rhs.shape)
+    else:
+        v[:ni] = lu.solve(rhs)
+    return v
 
 
 def harmonic_extension(mesh: Mesh, f) -> np.ndarray:
     """Discrete harmonic extension of boundary data: the cold Newton
     start, and the lift of the data change in a warm one."""
-    fb = boundary_values(mesh, f)
-    lu, K_ib, order = _laplace_factor(mesh)
-    u = np.zeros(len(mesh.vertices))
-    u[mesh.boundary_loop] = fb
-    if len(order):
-        u[order] = lu.solve(-K_ib @ fb)
-    return u
+    return lift(mesh, *_laplace_factor(mesh), boundary_values(mesh, f))
 
 
 @dataclass
 class DiscreteSolution:
     """Converged FEM solution with its boundary data and diagnostics.
 
-    ``lu`` factors an interior block near this solution's Jacobian, in
-    the mesh order of ``factor_interior``: the last preconditioner of its
-    Newton steps, or the exact LU ``LinearizedOperator.at_base`` leaves
-    on it.  A solve warm-started from this one preconditions with it.
-    ``flux_coeffs`` are the boundary rows of the residual at ``u``, which
-    the stopping test assembled: the variational flux pairings.
+    ``lu`` factors an interior block near this solution's Jacobian (see
+    ``factor_interior``): the last preconditioner of its Newton steps, or
+    the exact LU ``LinearizedOperator.at_base`` leaves on it.  A solve
+    warm-started from this one preconditions with it.  ``flux_coeffs``
+    are the boundary rows of the residual at ``u``, which the stopping
+    test assembled: the variational flux pairings.
     """
     mesh: Mesh
     cond: ConductivitySpec
     u: np.ndarray
-    f: np.ndarray                      # boundary values over boundary_loop
     newton_iters: int
     residual_norm: float
     converged: bool
@@ -275,6 +211,11 @@ class DiscreteSolution:
     krylov_iters: int = 0
     lu: Optional[spla.SuperLU] = field(default=None, repr=False)
     history: list = field(default_factory=list, repr=False)
+
+    @property
+    def f(self) -> np.ndarray:
+        """Boundary data: the block of ``u`` Newton never updates."""
+        return self.u[self.mesh.n_interior:]
 
 
 # A Newton step first solves J du = -R by GMRES preconditioned with the
@@ -334,7 +275,7 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
     the partial state is returned with ``converged=False``.
     """
     fb = boundary_values(mesh, f)
-    ii = mesh.interior_idx
+    ni = mesh.n_interior
     lu = None
     if warm_start is not None:
         if warm_start.mesh is not mesh:
@@ -342,14 +283,13 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
         # lifting the data change harmonically leaves no boundary layer
         # for Newton to remove, as overwriting the boundary alone would
         u = warm_start.u + harmonic_extension(mesh, fb - warm_start.f)
-        u[mesh.boundary_loop] = fb
+        u[ni:] = fb
         lu = warm_start.lu
     else:
         u = harmonic_extension(mesh, fb)
-    order = _laplace_factor(mesh)[2]
 
     R, scale = assemble_residual(cond, mesh, u, source)
-    rnorm = np.linalg.norm(R[ii])
+    rnorm = np.linalg.norm(R[:ni])
     history = [float(rnorm)]
     # roundoff floor: constants make the flux scale vanish identically
     atol = 1e-13 * (1.0 + np.abs(fb).max())
@@ -359,25 +299,25 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
         if rnorm <= tol * scale + atol:
             break
         J = assemble_jacobian(cond, mesh, u)
-        b = -R[order]
+        b = -R[:ni]
         du = None
         if lu is not None:
-            A = J[order][:, order]
+            A = J[:ni, :ni]
             target = KRYLOV_TARGET * (tol * scale + atol)
             du, k = _gmres(A, b, lu, target)
             krylov_iters += k
             if np.linalg.norm(A @ du - b) > target:
                 du = None
         if du is None:
-            lu = factor_interior(mesh, J)[0]
+            lu = factor_interior(mesh, J)
             factorizations += 1
             du = lu.solve(b)
         alpha = 1.0
         for _ in range(12):
             u_try = u.copy()
-            u_try[order] += alpha * du
+            u_try[:ni] += alpha * du
             R_try, scale_try = assemble_residual(cond, mesh, u_try, source)
-            r_try = np.linalg.norm(R_try[ii])
+            r_try = np.linalg.norm(R_try[:ni])
             if r_try <= (1.0 - 1e-4 * alpha) * rnorm:
                 break
             alpha *= 0.5
@@ -389,9 +329,9 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
     if not converged and raise_on_fail:
         raise SolveError(f"Newton stalled after {it} iterations, "
                          f"residual {rnorm:.3e} vs scale {scale:.3e}")
-    return DiscreteSolution(mesh=mesh, cond=cond, u=u, f=fb, newton_iters=it,
+    return DiscreteSolution(mesh=mesh, cond=cond, u=u, newton_iters=it,
                             residual_norm=float(rnorm), converged=converged,
-                            flux_coeffs=R[mesh.boundary_loop], factorizations=factorizations,
+                            flux_coeffs=R[ni:], factorizations=factorizations,
                             krylov_iters=krylov_iters, lu=lu, history=history)
 
 
@@ -439,7 +379,7 @@ def boundary_jet_of(sol: DiscreteSolution, frame: BoundaryFrame):
     """
     mesh = sol.mesh
     s = float(sol.u[frame.vertex])
-    p_t = _tangential_derivative(mesh, sol.u[mesh.boundary_loop], frame.loop_pos)
+    p_t = _tangential_derivative(mesh, sol.f, frame.loop_pos)
     rho = float(dn_map(sol).density[frame.loop_pos])
 
     def a_of(q):

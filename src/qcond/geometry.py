@@ -20,14 +20,17 @@ class Mesh:
 
     Immutable after construction; shared read-only across solves.  Every
     geometric array is computed here, once.  ``_cache`` holds only what
-    the solvers build lazily on the mesh (the P1 pattern, the Laplace LU
-    with its interior order, the patch-recovery operator).
+    the solvers build lazily on the mesh (the P1 pattern, the Laplace LU,
+    the patch-recovery operator).  Vertices are numbered in solver order,
+    interior first, so interior and boundary blocks are slices.
 
     Attributes
     ----------
     vertices : (N, 2) float array
     triangles : (T, 3) int array, positively oriented
-    boundary_loop : (B,) int array, boundary vertices in CCW order
+    boundary_loop : (B,) int array, boundary vertices in CCW order, which
+        is ``arange(n_interior, N)``
+    n_interior : number of interior vertices, N - B
     boundary_edges : (B, 2) int array, consecutive loop pairs
     boundary_normals : (B, 2) float array, outward unit normal per edge
     h : target edge length
@@ -35,7 +38,7 @@ class Mesh:
     areas : (T,) triangle areas
     hat_gradients : (T, 3, 2) gradients of the three barycentric hats
     centroids : (T, 2) triangle centroids
-    interior_idx : indices of the non-boundary vertices
+    interior_idx : indices of the interior vertices, ``arange(n_interior)``
     edge_lengths : (B,) boundary edge lengths
     perimeter : boundary length
     arclength : (B,) cumulative arclength at each loop vertex, from loop[0]
@@ -49,6 +52,9 @@ class Mesh:
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
         self.boundary_loop = np.asarray(boundary_loop, dtype=int)
+        self.n_interior = len(self.vertices) - len(self.boundary_loop)
+        if not np.array_equal(self.boundary_loop, np.arange(self.n_interior, len(self.vertices))):
+            raise ValueError("Mesh: the boundary loop must be the trailing block of vertices")
         self.h = float(h)
         self.diameter = float(diameter)
         self._cache = {}
@@ -68,9 +74,7 @@ class Mesh:
         self.hat_gradients = g
 
         loop = self.boundary_loop
-        interior = np.ones(len(self.vertices), dtype=bool)
-        interior[loop] = False
-        self.interior_idx = np.flatnonzero(interior)
+        self.interior_idx = np.arange(self.n_interior)
         self.boundary_edges = np.stack([loop, np.roll(loop, -1)], axis=1)
         e = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
         # CCW loop: outward normal is the edge direction rotated by -90 degrees
@@ -85,8 +89,72 @@ class Mesh:
         self.vertex_normals = n / np.linalg.norm(n, axis=1, keepdims=True)
 
 
+# dissection parts of at most this many interior vertices are not split
+ND_LEAF = 16
+
+
+def _nested_dissection(vertices, triangles, n_interior: int):
+    """Geometric nested-dissection order of the interior vertices
+    ``0 .. n_interior - 1``.
+
+    A part of more than ND_LEAF vertices is bisected at the median of one
+    coordinate, the axes alternating by level, and the upper endpoints
+    of the interior edges the bisection cuts are its separator.  Each
+    part is ordered lower half, upper half, then separator, so the two
+    halves eliminate independently and their fill meets only in the
+    separator's dense block.  Every level splits all its parts at once
+    over the edge list; ties are broken by vertex index.
+
+    Returns (order, node): the interior vertices in elimination order,
+    and per interior vertex the heap index of its dissection node (root
+    1, halves 2k and 2k + 1): the part whose separator it is, or the
+    unsplit part it ends in.
+    """
+    ni = n_interior
+    tri = np.where(triangles < ni, triangles, -1)
+    u, v = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]).T
+    # an edge between interior vertices lies in two triangles, once per
+    # orientation: u < v keeps each edge once
+    keep = (u >= 0) & (u < v)
+    u, v = u[keep], v[keep]
+    # each vertex's rank along each axis, ties by index
+    ranks = np.empty((2, ni), dtype=np.int64)
+    for axis in (0, 1):
+        ranks[axis, np.argsort(vertices[:ni, axis], kind="stable")] = np.arange(ni)
+    node = np.ones(ni, dtype=np.int64)
+    act = np.arange(ni)               # the vertices of parts still to split
+    level = 0
+    while len(act):
+        # by part, then by rank along this level's axis
+        srt = act[np.argsort(node[act] * ni + ranks[level % 2, act])]
+        starts = np.flatnonzero(np.diff(node[srt], prepend=0))
+        size = np.diff(starts, append=len(srt))
+        upper = 2 * (np.arange(len(srt)) - np.repeat(starts, size)) >= np.repeat(size, size)
+        split = np.repeat(size > ND_LEAF, size)
+        act = srt[split]
+        node[act] = 2 * node[act] + upper[split]
+        # the upper endpoint of each cut edge joins the separator
+        cut = node[u] ^ node[v] == 1
+        sep = np.where(node[u[cut]] & 1, u[cut], v[cut])
+        node[sep] >>= 1
+        active = np.zeros(ni, dtype=bool)
+        active[act] = True
+        active[sep] = False
+        act = np.flatnonzero(active)
+        keep = active[u] & active[v] & (node[u] == node[v])
+        u, v = u[keep], v[keep]
+        level += 1
+    # post-order: sorted by the last leaf-level heap index under each
+    # node, deeper first on ties, a node follows its whole subtree
+    depth = np.frexp(node.astype(float))[1] - 1
+    order = np.lexsort((-depth, ((node + 1) << (level - depth)) - 1))
+    return order, node
+
+
 def _delaunay_mesh(points, boundary_count, h, diameter):
-    """Triangulate a convex point cloud whose last ring is the boundary."""
+    """Triangulate a convex point cloud whose last ring is the boundary,
+    and number its vertices in solver order: the interior vertices in
+    nested-dissection order, then the boundary loop CCW."""
     tri = Delaunay(points)
     simplices = tri.simplices.copy()
     v = points[simplices]
@@ -109,7 +177,10 @@ def _delaunay_mesh(points, boundary_count, h, diameter):
     loop_edges = set(map(tuple, np.sort(np.stack([loop, np.roll(loop, -1)], axis=1), axis=1)))
     if hull != loop_edges:
         raise RuntimeError("triangulation boundary does not match the boundary ring")
-    return Mesh(points, simplices, loop, h, diameter)
+    perm = np.concatenate([_nested_dissection(points, simplices, first_b)[0], loop])
+    number = np.empty(len(points), dtype=int)
+    number[perm] = np.arange(len(points))
+    return Mesh(points[perm], number[simplices], np.arange(first_b, len(points)), h, diameter)
 
 
 def build_disk_mesh(radius: float, h: float) -> Mesh:

@@ -225,7 +225,8 @@ def run_jet_batch(cond: ConductivitySpec, mesh: Mesh, path, *, pi1=1.0, big_n=10
 
 
 def run(cfg: RunConfig, echo=print) -> RunReport:
-    """Execute the configured stages and write artifacts to out_dir."""
+    """Validate the config, execute its stages, write artifacts to out_dir."""
+    validate_config(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)

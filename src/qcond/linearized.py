@@ -1,8 +1,8 @@
 """Linearized Dirichlet solves and the linearized boundary flux map.
 
 The linearized stiffness at a base solution is the forward Newton
-Jacobian; it is assembled once and its interior block factorized in the
-mesh's nested-dissection order, then reused across many boundary data.
+Jacobian; it is assembled once, its interior block (the leading block of
+the mesh's numbering) factorized, and reused across many boundary data.
 Data come one vector or one (n_boundary, K) block at a time: a frame's
 probes at all frequencies are one multi-column solve, their real and
 imaginary parts side by side.  The factorization then stays on the base
@@ -18,7 +18,7 @@ import numpy as np
 
 from .conductivity import ConductivitySpec
 from .forward import (DiscreteSolution, SolveError, assemble_jacobian, assemble_linear,
-                      boundary_values, factor_interior, solve_dirichlet)
+                      boundary_values, factor_interior, lift, solve_dirichlet)
 from .geometry import Mesh
 
 
@@ -28,10 +28,10 @@ class LinearizedOperator:
     def __init__(self, mesh: Mesh, J_full):
         self.mesh = mesh
         self.J = J_full.tocsr()
-        # interior rows and columns in the mesh's fill-reducing order
-        self._lu, self._order = factor_interior(mesh, self.J)
-        self._J_ib = self.J[self._order][:, mesh.boundary_loop].tocsr()
-        self._J_b = self.J[mesh.boundary_loop]
+        ni = mesh.n_interior
+        self._lu = factor_interior(mesh, self.J)
+        self._J_ib = self.J[:ni, ni:]
+        self._J_b = self.J[ni:]
 
     @classmethod
     def at_base(cls, cond: ConductivitySpec, base: DiscreteSolution) -> "LinearizedOperator":
@@ -55,21 +55,7 @@ class LinearizedOperator:
     def solve(self, h) -> np.ndarray:
         """Nodal solution with boundary data h, real or complex: one
         vector in loop order, or an (n_boundary, K) block of K columns."""
-        mesh = self.mesh
-        hb = np.asarray(h)
-        v = np.zeros((len(mesh.vertices),) + hb.shape[1:], dtype=hb.dtype)
-        v[mesh.boundary_loop] = hb
-        rhs = -self._J_ib @ hb
-        if np.iscomplexobj(hb):
-            # real and imaginary parts as one solve of twice the columns,
-            # laid out column-major as SuperLU reads them uncopied
-            r = rhs.reshape(len(rhs), -1)
-            x = self._lu.solve(np.asfortranarray(np.hstack((r.real, r.imag))))
-            k = r.shape[1]
-            v[self._order] = (x[:, :k] + 1j * x[:, k:]).reshape(rhs.shape)
-        else:
-            v[self._order] = self._lu.solve(rhs)
-        return v
+        return lift(self.mesh, self._lu, self._J_ib, h)
 
     def flux_coeffs(self, v) -> np.ndarray:
         """Variational flux pairings: the boundary rows of J, times v."""

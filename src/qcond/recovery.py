@@ -423,9 +423,9 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
             progress(task)
         return out, symrows
 
-    # every assembly and factorization of every chain uses the mesh's
-    # P1 pattern and interior order: build both before any chain, so no
-    # chain writes to the mesh
+    # every assembly and warm start of every chain uses the mesh's P1
+    # pattern and Laplace LU: build both before any chain, so no chain
+    # writes to the mesh
     _laplace_factor(mesh)
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -5,7 +5,8 @@
 methods wherever the library holds them.  A rename, or a call that stops
 going through the rebound name, would drop that layer's spans silently;
 this test runs a toy reconstruction under the recorder and requires a span
-from every wrapped layer.
+from every wrapped layer.  The benchmark's set-up reads the mesh API
+directly, so a second test runs it.
 """
 
 import importlib.util
@@ -16,11 +17,12 @@ from qcond import recovery
 from qcond.conductivity import preset_p_lorentz
 from qcond.geometry import build_disk_mesh
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+def load_perfbench(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # its dataclasses resolve their module through sys.modules
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -29,7 +31,7 @@ def load_spans(monkeypatch):
 
 
 def test_traced_run_sees_every_wrapped_layer(monkeypatch):
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, "spans")
     rec = spans.SpanRecorder("bindings")
     bindings = spans.install(rec)
     try:
@@ -46,3 +48,9 @@ def test_traced_run_sees_every_wrapped_layer(monkeypatch):
     # a fresh mesh factors its Laplacian in set-up; each base its operator
     owners = {span.attrs["owner"] for span in rec.spans if span.name == "splu"}
     assert {"setup", "linearized"} <= owners
+
+
+def test_benchmark_setup_builds_the_solver_state(monkeypatch):
+    workloads = load_perfbench(monkeypatch, "workloads")
+    mesh = workloads.build_mesh(0.1)
+    assert "laplace_lu" in mesh._cache

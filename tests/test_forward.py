@@ -173,6 +173,8 @@ def test_warm_start_imposes_the_data_bitwise():
     fb = 0.7 * np.cos(2 * th) + 0.1 * np.sin(3 * th) + 0.3
     warm = solve_dirichlet(PG, m, fb, warm_start=prev)
     assert warm.converged and np.array_equal(warm.u[m.boundary_loop], fb)
+    # the data a solve reports is the boundary block of its u
+    assert np.array_equal(warm.f, fb) and np.array_equal(prev.f, np.cos(2 * th))
 
 
 def _neighbour_jets(cond, s):
@@ -216,7 +218,7 @@ def test_warm_start_far_lu_refactors():
     f = prescribe_jet(cond, m, JetRequest(frame=fr, s=0.6, p=5.0 * fr.tau, regime="decay")).f
     far = solve_dirichlet(C1, m, f)
     aniso = np.broadcast_to(np.diag([1.0, 10.0]), (len(m.triangles), 2, 2))
-    far.lu = factor_interior(m, assemble_linear(m, aniso))[0]
+    far.lu = factor_interior(m, assemble_linear(m, aniso))
     warm = solve_dirichlet(cond, m, f, warm_start=far)
     cold = solve_dirichlet(cond, m, f)
     assert warm.converged and warm.factorizations >= 1
@@ -257,38 +259,3 @@ def test_harmonic_extension_warm_start():
     fb = m.vertices[m.boundary_loop, 0]
     u = harmonic_extension(m, fb)
     assert np.abs(u - m.vertices[:, 0]).max() < 1e-12
-
-
-@pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
-def test_nested_dissection_order(h):
-    m = build_disk_mesh(1.0, h)
-    ii = m.interior_idx
-    order, node = forward._nested_dissection(m)
-    assert np.array_equal(np.sort(order), ii)
-    assert np.array_equal(forward._laplace_factor(m)[2], order)
-    pos = np.empty(len(m.vertices), dtype=int)
-    pos[order] = np.arange(len(order))
-    pos = pos[ii]
-    local = np.full(len(m.vertices), -1)
-    local[ii] = np.arange(len(ii))
-    tri = local[m.triangles]
-    u, v = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]).T
-    u, v = u[(u >= 0) & (v >= 0)], v[(u >= 0) & (v >= 0)]
-    depth = np.array([int(k).bit_length() - 1 for k in node])
-
-    def within(k):
-        # vertices whose dissection node lies in the subtree of node k
-        d = int(k).bit_length() - 1
-        return (depth >= d) & (node >> np.maximum(depth - d, 0) == k)
-
-    split = {int(k) >> j for k in node for j in range(1, int(k).bit_length())}
-    assert split
-    for k in split:
-        lower, upper = within(2 * k), within(2 * k + 1)
-        sep = node == k
-        assert lower.any() and upper.any()
-        # the separator comes after both of its halves
-        if sep.any():
-            assert pos[sep].min() > max(pos[lower].max(), pos[upper].max())
-        # and no interior edge joins the two halves
-        assert not np.any(lower[u] & upper[v]) and not np.any(upper[u] & lower[v])

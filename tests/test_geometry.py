@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qcond.geometry import (boundary_frame_at, build_disk_mesh, build_polygon_mesh,
-                            load_mesh, normalize_above_origin, save_mesh, transform_mesh)
+from qcond import geometry
+from qcond.geometry import (Isometry, Mesh, boundary_frame_at, build_disk_mesh,
+                            build_polygon_mesh, load_mesh, normalize_above_origin, save_mesh,
+                            transform_mesh)
 
 
 def test_disk_mesh_quality():
@@ -150,7 +152,6 @@ def test_mesh_io_round_trip(tmp_path):
 
 
 def test_transform_mesh_preserves_geometry():
-    from qcond.geometry import Isometry
     m = build_disk_mesh(1.0, 0.2)
     th = 0.9
     R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
@@ -158,3 +159,64 @@ def test_transform_mesh_preserves_geometry():
     m2 = transform_mesh(m, iso)
     assert np.abs(m2.areas - m.areas).max() < 1e-14
     assert np.abs(m2.edge_lengths - m.edge_lengths).max() < 1e-14
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
+def test_nested_dissection_order(h):
+    m = build_disk_mesh(1.0, h)
+    ii = m.interior_idx
+    order, node = geometry._nested_dissection(m.vertices, m.triangles, m.n_interior)
+    assert np.array_equal(np.sort(order), ii)
+    # the mesh numbers its interior vertices in this order already
+    assert np.array_equal(order, ii)
+    pos = np.empty(len(m.vertices), dtype=int)
+    pos[order] = np.arange(len(order))
+    pos = pos[ii]
+    local = np.full(len(m.vertices), -1)
+    local[ii] = np.arange(len(ii))
+    tri = local[m.triangles]
+    u, v = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]).T
+    u, v = u[(u >= 0) & (v >= 0)], v[(u >= 0) & (v >= 0)]
+    depth = np.array([int(k).bit_length() - 1 for k in node])
+
+    def within(k):
+        # vertices whose dissection node lies in the subtree of node k
+        d = int(k).bit_length() - 1
+        return (depth >= d) & (node >> np.maximum(depth - d, 0) == k)
+
+    split = {int(k) >> j for k in node for j in range(1, int(k).bit_length())}
+    assert split
+    for k in split:
+        lower, upper = within(2 * k), within(2 * k + 1)
+        sep = node == k
+        assert lower.any() and upper.any()
+        # the separator comes after both of its halves
+        if sep.any():
+            assert pos[sep].min() > max(pos[lower].max(), pos[upper].max())
+        # and no interior edge joins the two halves
+        assert not np.any(lower[u] & upper[v]) and not np.any(upper[u] & lower[v])
+
+
+@pytest.mark.parametrize("build", [lambda: build_disk_mesh(1.0, 0.1),
+                                   lambda: build_polygon_mesh(5, 1.0, 0.1)])
+def test_mesh_numbers_interior_first(build, tmp_path):
+    m = build()
+    n, ni = len(m.vertices), m.n_interior
+    assert 0 < ni < n
+    assert np.array_equal(m.boundary_loop, np.arange(ni, n))
+    assert np.array_equal(m.interior_idx, np.arange(ni))
+    # the trailing block is exactly the vertices of the edges that lie in
+    # one triangle only
+    edges = np.sort(np.concatenate([m.triangles[:, [0, 1]], m.triangles[:, [1, 2]],
+                                    m.triangles[:, [2, 0]]]), axis=1)
+    uniq, count = np.unique(edges, axis=0, return_counts=True)
+    assert set(uniq[count == 1].ravel()) == set(range(ni, n))
+    iso = Isometry(R=np.array([[0.0, -1.0], [1.0, 0.0]]), t=np.array([0.5, 0.2]))
+    save_mesh(m, tmp_path / "m.txt")
+    for m2 in (transform_mesh(m, iso), load_mesh(tmp_path / "m.txt")):
+        assert m2.n_interior == ni and np.array_equal(m2.boundary_loop, m.boundary_loop)
+        assert np.array_equal(m2.triangles, m.triangles)
+    for loop in (np.roll(m.boundary_loop, 1), m.boundary_loop[::-1],
+                 np.arange(ni - 1, n - 1)):
+        with pytest.raises(ValueError, match="trailing block"):
+            Mesh(m.vertices, m.triangles, loop, m.h, m.diameter)

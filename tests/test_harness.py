@@ -72,6 +72,15 @@ def test_validation_errors():
         parse_config("jobs = 0")
 
 
+def test_run_validates_config_before_writing(tmp_path):
+    # a config built in code is checked like a parsed one: a misspelt
+    # stage is rejected before the output directory is created
+    cfg = RunConfig(h=0.1, out_dir=str(tmp_path / "o"), stages=("reconstuction",))
+    with pytest.raises(ConfigError, match="unknown stages reconstuction"):
+        run(cfg, echo=None)
+    assert not (tmp_path / "o").exists()
+
+
 def test_every_field_round_trips_through_parse_config():
     # each key is parsed by its field's type: a non-default value of that
     # type, written out, reads back with the same repr
@@ -265,8 +274,8 @@ def test_reconstruct_jobs_deterministic():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_reconstruct_builds_mesh_cache_before_threads(monkeypatch, jobs):
     # every chain starts by looking up its frame; by then, for every jobs,
-    # it must find the Laplace LU with its interior order and the P1
-    # pattern built, so no chain writes to the mesh
+    # it must find the Laplace LU and the P1 pattern built, so no chain
+    # writes to the mesh
     from qcond import recovery
     from qcond.conductivity import preset_p_lorentz
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -324,4 +326,48 @@ def test_reconstruct_records_integration_failure(monkeypatch):
     for s in grid.samples:
         assert s.status == ("integration: nonpositive determinant measurement D; "
                             "inversion invalid")
+        assert np.isnan(s.a_hat) and s.rel_err is None
+
+
+def _decay_chain(R):
+    from qcond.conductivity import make_preset
+    return R.reconstruct(make_preset("decay_mix(0.2,0.05,0.1)"), build_disk_mesh(1.0, 0.1),
+                         (0.0,), PolarGrid(n_directions=1, n_radii=2, r_max=2.0),
+                         regime="decay", tau_ladder=(2.0, 4.0))
+
+
+def test_reconstruct_records_newton_stall(monkeypatch):
+    # every jet's Newton solve is cut to one iteration: the stall is
+    # raised, recorded per sample, and no sample is recovered
+    import qcond.barriers as B
+    import qcond.recovery as R
+    solve = B.solve_dirichlet
+    monkeypatch.setattr(B, "solve_dirichlet",
+                        lambda *args, **kwargs: solve(*args, **{**kwargs, "max_iter": 1}))
+    grid = _decay_chain(R)
+    assert len(grid.samples) == 2
+    for s in grid.samples:
+        assert s.status.startswith("SolveError: Newton stalled after 1 iterations, residual ")
+        assert np.isnan(s.a_hat) and s.rel_err is None
+
+
+@pytest.mark.parametrize("regime", ["decay", "small"])
+def test_reconstruct_records_jet_outside_bracket(monkeypatch, regime):
+    # one solve per jet (in the small regime at the bracket's upper end)
+    # cannot bracket the target slope: every sample records that
+    import qcond.recovery as R
+    from qcond.conductivity import preset_p_gauss
+    prescribe = R.prescribe_jet
+    cut = {"max_solves": 1} if regime == "decay" else {"max_solves": 1, "t_hint": 1e3}
+    monkeypatch.setattr(R, "prescribe_jet",
+                        lambda *args, **kwargs: prescribe(*args, **{**kwargs, **cut}))
+    if regime == "decay":
+        grid = _decay_chain(R)
+    else:
+        grid = R.reconstruct(preset_p_gauss(0.25), build_disk_mesh(1.0, 0.1), (0.0,),
+                             PolarGrid(n_directions=1, n_radii=2), tau_ladder=(2.0, 4.0))
+    assert len(grid.samples) == 2
+    for s in grid.samples:
+        assert re.fullmatch(r"jet: target normal slope \S+ outside achieved interval "
+                            r"\[\S+, \S+\]", s.status), s.status
         assert np.isnan(s.a_hat) and s.rel_err is None
