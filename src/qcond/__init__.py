@@ -10,10 +10,9 @@ inversion layer, and a staged run harness.
 """
 
 from .conductivity import (ConductivitySpec, ConductivityError, ConditionReport,
-                           JetRadius, PRESETS, antisymmetric_part,
-                           check_structural_conditions, evaluate_with_derivatives,
-                           jet_radius, linearized_conductivity, make_preset,
-                           rotate_conductivity)
+                           JetRadius, PRESETS, check_structural_conditions,
+                           evaluate_with_derivatives, jet_radius, linearized_conductivity,
+                           make_preset, rotate_conductivity)
 from .geometry import (BoundaryFrame, Isometry, Mesh, boundary_frame_at,
                        build_disk_mesh, build_polygon_mesh, load_mesh,
                        normalize_above_origin, save_mesh, transform_mesh)

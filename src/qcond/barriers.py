@@ -168,7 +168,6 @@ class JetResult:
     ok: bool
     message: str = ""
     smallness: float = 0.0
-    bracket: tuple = (0.0, 0.0)
 
 
 def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
@@ -245,8 +244,7 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
         return JetResult(f=f_t, sol=sol, achieved_s=s_a, achieved_p=p_a,
                          t_star=t, solves=solves, ok=ok,
                          message="" if ok else f"jet error {err:.3e} > tol {tol:.3e}",
-                         smallness=c2_surrogate_norm(mesh, f_t, request.s),
-                         bracket=(-bracket, bracket))
+                         smallness=c2_surrogate_norm(mesh, f_t, request.s))
 
     t0 = float(np.clip(t_hint if t_hint is not None else p_n, -bracket, bracket))
     phi0 = achieved(t0)[0] - p_n

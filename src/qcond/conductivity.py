@@ -134,13 +134,6 @@ def linearized_matrix(a, gp, p) -> np.ndarray:
     return np.asarray(a)[..., None, None] * np.eye(p.shape[-1]) + sym
 
 
-def antisymmetric_part(cond: ConductivitySpec, s, gradu) -> np.ndarray:
-    """Antisymmetric matrix A_ij = (1/2)(a_{p_j} u_i - a_{p_i} u_j)."""
-    s, u = _as_sp(s, gradu)
-    _, _, gp = evaluate_with_derivatives(cond, s, u)
-    return 0.5 * (u[..., :, None] * gp[..., None, :] - gp[..., :, None] * u[..., None, :])
-
-
 def rotate_conductivity(cond: ConductivitySpec, R: np.ndarray) -> ConductivitySpec:
     """Pushforward by an orthogonal matrix: (R_* a)(s, p) = a(s, R^{-1} p).
 

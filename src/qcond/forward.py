@@ -162,10 +162,12 @@ def _laplace_factor(mesh: Mesh):
     return mesh._cache["laplace_lu"]
 
 
-def lift(mesh: Mesh, lu: spla.SuperLU, A_ib: sp.spmatrix, h) -> np.ndarray:
+def lift(mesh: Mesh, solve: Callable, A_ib: sp.spmatrix, h) -> np.ndarray:
     """Nodal v with boundary values h and vanishing interior rows of A v:
-    ``lu`` factors A's interior block, ``A_ib`` is A[:n_interior, n_interior:].
-    h is a real or complex vector, or an (n_boundary, K) block."""
+    ``solve`` applies the inverse of A's interior block to a real vector
+    or (n_interior, m) block, such as ``lu.solve``; ``A_ib`` is
+    A[:n_interior, n_interior:].  h is a real or complex vector, or an
+    (n_boundary, K) block."""
     ni = mesh.n_interior
     h = np.asarray(h)
     rhs = -(A_ib @ h)
@@ -175,30 +177,31 @@ def lift(mesh: Mesh, lu: spla.SuperLU, A_ib: sp.spmatrix, h) -> np.ndarray:
         # real and imaginary parts as one solve of twice the columns,
         # laid out column-major as SuperLU reads them uncopied
         r = rhs.reshape(ni, -1)
-        x = lu.solve(np.asfortranarray(np.hstack((r.real, r.imag))))
+        x = solve(np.asfortranarray(np.hstack((r.real, r.imag))))
         k = r.shape[1]
         v[:ni] = (x[:, :k] + 1j * x[:, k:]).reshape(rhs.shape)
     else:
-        v[:ni] = lu.solve(rhs)
+        v[:ni] = solve(rhs)
     return v
 
 
 def harmonic_extension(mesh: Mesh, f) -> np.ndarray:
     """Discrete harmonic extension of boundary data: the cold Newton
     start, and the lift of the data change in a warm one."""
-    return lift(mesh, *_laplace_factor(mesh), boundary_values(mesh, f))
+    lu, K_ib = _laplace_factor(mesh)
+    return lift(mesh, lu.solve, K_ib, boundary_values(mesh, f))
 
 
 @dataclass
 class DiscreteSolution:
     """Converged FEM solution with its boundary data and diagnostics.
 
-    ``lu`` factors an interior block near this solution's Jacobian (see
-    ``factor_interior``): the last preconditioner of its Newton steps, or
-    the exact LU ``LinearizedOperator.at_base`` leaves on it.  A solve
-    warm-started from this one preconditions with it.  ``flux_coeffs``
-    are the boundary rows of the residual at ``u``, which the stopping
-    test assembled: the variational flux pairings.
+    ``lu`` is the last preconditioner of its Newton steps: the warm
+    start's LU or the mesh's Laplace LU, unless a step missed the Krylov
+    target and factored its own interior block (see ``factor_interior``).
+    A solve warm-started from this one preconditions with it.
+    ``flux_coeffs`` are the boundary rows of the residual at ``u``, which
+    the stopping test assembled: the variational flux pairings.
     """
     mesh: Mesh
     cond: ConductivitySpec
@@ -227,33 +230,59 @@ KRYLOV_TARGET = 1e-2
 KRYLOV_MAX_ITER = 12
 
 
-def _gmres(A: sp.spmatrix, b: np.ndarray, lu, target: float):
-    """Right-preconditioned GMRES for A x = b from x = 0.
+def _gmres(A: sp.spmatrix, b: np.ndarray, lu, target):
+    """Right-preconditioned GMRES for A x = b from x = 0, column by column.
 
-    ``lu`` factors a matrix near A.  Stops once the Arnoldi residual
-    estimate reaches ``target`` or after KRYLOV_MAX_ITER iterations, and
-    returns (x, iterations).
+    ``b`` is a vector or an (n, m) block and ``target`` a residual bound,
+    one for all columns or one per column; ``lu`` factors a matrix near
+    A.  Each iteration extends the Arnoldi basis of every column still
+    running by one multi-column ``lu.solve`` and one sparse product.  A
+    column stops at the first iteration whose Arnoldi residual estimate
+    reaches its target, or after KRYLOV_MAX_ITER, so a block solve equals
+    its column-by-column solves up to roundoff.  A zero column has the
+    solution 0 and takes no iteration.  Returns x, the iterations summed
+    over the columns, and whether every column's true residual
+    |A x - b| meets its target.
     """
     m = KRYLOV_MAX_ITER
-    beta = np.linalg.norm(b)
-    V = np.empty((m + 1, len(b)))
-    Z = np.empty((m, len(b)))
-    H = np.zeros((m + 1, m))
-    e1 = np.zeros(m + 1)
-    e1[0] = beta
-    V[0] = b / beta
+    B = b.reshape(len(b), -1)
+    n, ncol = B.shape
+    target = np.broadcast_to(target, (ncol,))
+    beta = np.linalg.norm(B, axis=0)
+    # row c of V[k] is column c's k-th Arnoldi vector, of Z[k] its
+    # preconditioned image
+    V = np.empty((m + 1, ncol, n))
+    Z = np.empty((m, ncol, n))
+    H = np.zeros((ncol, m + 1, m))
+    X = np.zeros((ncol, n))
+    iters = 0
+    run = np.flatnonzero(beta > 0.0)
+    V[0, run] = B[:, run].T / beta[run, None]
     for k in range(m):
-        Z[k] = lu.solve(V[k])
-        w = A @ Z[k]
-        for j in range(k + 1):              # modified Gram-Schmidt
-            H[j, k] = V[j] @ w
-            w -= H[j, k] * V[j]
-        H[k + 1, k] = np.linalg.norm(w)
-        y = np.linalg.lstsq(H[:k + 2, :k + 1], e1[:k + 2], rcond=None)[0]
-        if H[k + 1, k] == 0.0 or np.linalg.norm(H[:k + 2, :k + 1] @ y - e1[:k + 2]) <= target:
+        if not len(run):
             break
-        V[k + 1] = w / H[k + 1, k]
-    return y @ Z[:k + 1], k + 1
+        Zk = lu.solve(V[k, run].T)
+        Z[k, run] = Zk.T
+        W = np.ascontiguousarray((A @ Zk).T)
+        for j in range(k + 1):              # modified Gram-Schmidt
+            H[run, j, k] = np.einsum("ci,ci->c", V[j, run], W)
+            W -= H[run, j, k, None] * V[j, run]
+        H[run, k + 1, k] = np.linalg.norm(W, axis=1)
+        iters += len(run)
+        going = np.ones(len(run), dtype=bool)
+        for i, c in enumerate(run):
+            e1 = np.zeros(k + 2)
+            e1[0] = beta[c]
+            y = np.linalg.lstsq(H[c, :k + 2, :k + 1], e1, rcond=None)[0]
+            if (k + 1 == m or H[c, k + 1, k] == 0.0
+                    or np.linalg.norm(H[c, :k + 2, :k + 1] @ y - e1) <= target[c]):
+                X[c] = y @ Z[:k + 1, c]
+                going[i] = False
+        run, W = run[going], W[going]
+        V[k + 1, run] = W / H[run, k + 1, k, None]
+    x = X.T.reshape(b.shape)
+    miss = np.linalg.norm((A @ x - b).reshape(n, -1), axis=0)
+    return x, iters, bool(np.all(miss <= target))
 
 
 def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
@@ -268,11 +297,11 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
     on the same mesh, from that solution plus the harmonic extension of
     the data change f - warm_start.f, with the boundary values then set
     to f exactly.  It backtracks on the interior residual norm.  Each
-    step is a Krylov step preconditioned by the warm start's LU when one
-    is at hand (see KRYLOV_TARGET); a cold solve factors on its first
-    step.  Non-convergence signals data outside the solvable regime; it
-    raises SolveError unless ``raise_on_fail`` is cleared, in which case
-    the partial state is returned with ``converged=False``.
+    step is a Krylov step preconditioned by the warm start's LU, or else
+    by the mesh's Laplace LU (see KRYLOV_TARGET).  Non-convergence
+    signals data outside the solvable regime; it raises SolveError
+    unless ``raise_on_fail`` is cleared, in which case the partial state
+    is returned with ``converged=False``.
     """
     fb = boundary_values(mesh, f)
     ni = mesh.n_interior
@@ -287,6 +316,8 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
         lu = warm_start.lu
     else:
         u = harmonic_extension(mesh, fb)
+    if lu is None:
+        lu = _laplace_factor(mesh)[0]
 
     R, scale = assemble_residual(cond, mesh, u, source)
     rnorm = np.linalg.norm(R[:ni])
@@ -300,15 +331,9 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
             break
         J = assemble_jacobian(cond, mesh, u)
         b = -R[:ni]
-        du = None
-        if lu is not None:
-            A = J[:ni, :ni]
-            target = KRYLOV_TARGET * (tol * scale + atol)
-            du, k = _gmres(A, b, lu, target)
-            krylov_iters += k
-            if np.linalg.norm(A @ du - b) > target:
-                du = None
-        if du is None:
+        du, k, met = _gmres(J[:ni, :ni], b, lu, KRYLOV_TARGET * (tol * scale + atol))
+        krylov_iters += k
+        if not met:
             lu = factor_interior(mesh, J)
             factorizations += 1
             du = lu.solve(b)

@@ -1,13 +1,16 @@
 """Linearized Dirichlet solves and the linearized boundary flux map.
 
 The linearized stiffness at a base solution is the forward Newton
-Jacobian; it is assembled once, its interior block (the leading block of
-the mesh's numbering) factorized, and reused across many boundary data.
+Jacobian.  It is assembled once and reused across many boundary data.
 Data come one vector or one (n_boundary, K) block at a time: a frame's
 probes at all frequencies are one multi-column solve, their real and
-imaginary parts side by side.  The factorization then stays on the base
-and preconditions the Newton steps of the next solve warm-started from
-it.
+imaginary parts side by side.  At a base the interior block is solved by
+GMRES preconditioned with the mesh's Laplace LU, which the operator
+a I + grad u (x) grad_p a stays spectrally close to along a
+reconstruction chain (it equals a(s, 0) K at q = 0).  Right-preconditioned
+GMRES is invariant when the preconditioner is scaled, so a(s, 0) needs
+no estimate.  A chain then factors nothing beyond that one LU per mesh,
+unless a block misses its target.
 """
 
 from __future__ import annotations
@@ -15,47 +18,78 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .conductivity import ConductivitySpec
-from .forward import (DiscreteSolution, SolveError, assemble_jacobian, assemble_linear,
-                      boundary_values, factor_interior, lift, solve_dirichlet)
+from .forward import (DiscreteSolution, SolveError, _gmres, _laplace_factor, assemble_jacobian,
+                      assemble_linear, boundary_values, factor_interior, lift, solve_dirichlet)
 from .geometry import Mesh
+
+# A preconditioned solve must bring every column's interior residual
+# below LINEAR_RTOL times that column's right-hand side within
+# forward.KRYLOV_MAX_ITER iterations; on the first block that misses, the
+# operator factors its own interior block and solves directly from then on.
+LINEAR_RTOL = 1e-10
 
 
 class LinearizedOperator:
-    """Factorized linearized operator with a many-RHS flux evaluator."""
+    """Linearized operator with a many-RHS flux evaluator.
 
-    def __init__(self, mesh: Mesh, J_full):
+    Without a ``preconditioner`` it factors its interior block and solves
+    directly.  Given an LU of a matrix near that block, it solves by
+    GMRES until a block misses LINEAR_RTOL.  ``factorizations`` counts
+    the LUs it made, ``krylov_iters`` its GMRES iterations summed over
+    columns.
+    """
+
+    def __init__(self, mesh: Mesh, J_full, preconditioner: Optional[spla.SuperLU] = None):
         self.mesh = mesh
         self.J = J_full.tocsr()
         ni = mesh.n_interior
-        self._lu = factor_interior(mesh, self.J)
         self._J_ib = self.J[:ni, ni:]
         self._J_b = self.J[ni:]
+        self.factorizations = self.krylov_iters = 0
+        # the interior block while GMRES solves; None once solves are direct
+        self._A = None if preconditioner is None else self.J[:ni, :ni]
+        self._lu = self._factor() if preconditioner is None else preconditioner
+
+    def _factor(self) -> spla.SuperLU:
+        self.factorizations += 1
+        return factor_interior(self.mesh, self.J)
 
     @classmethod
     def at_base(cls, cond: ConductivitySpec, base: DiscreteSolution) -> "LinearizedOperator":
-        """Operator at a converged base; its exact LU is left on the base
-        to precondition the Newton steps of solves warm-started from it.
-        A base that did not converge is outside the solvable regime."""
+        """Operator at a converged base, preconditioned by the mesh's
+        Laplace LU; the base is left as it is.  A base that did not
+        converge is outside the solvable regime."""
         if not base.converged:
             raise SolveError("at_base: base solution did not converge")
-        op = cls(base.mesh, assemble_jacobian(cond, base.mesh, base.u))
-        base.lu = op._lu
-        return op
+        return cls(base.mesh, assemble_jacobian(cond, base.mesh, base.u),
+                   preconditioner=_laplace_factor(base.mesh)[0])
 
     @classmethod
     def from_fields(cls, mesh: Mesh, M: np.ndarray, w: Optional[np.ndarray] = None) -> "LinearizedOperator":
-        """Operator with prescribed per-triangle coefficients (probing/tests)."""
+        """Operator with prescribed per-triangle coefficients (probing/tests),
+        factored exactly."""
         M = np.broadcast_to(np.asarray(M, dtype=float), (len(mesh.triangles), 2, 2))
         if w is not None:
             w = np.broadcast_to(np.asarray(w, dtype=float), (len(mesh.triangles), 2))
         return cls(mesh, assemble_linear(mesh, M, w))
 
+    def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
+        if self._A is not None:
+            target = LINEAR_RTOL * np.linalg.norm(rhs.reshape(len(rhs), -1), axis=0)
+            x, k, met = _gmres(self._A, rhs, self._lu, target)
+            self.krylov_iters += k
+            if met:
+                return x
+            self._A, self._lu = None, self._factor()
+        return self._lu.solve(rhs)
+
     def solve(self, h) -> np.ndarray:
         """Nodal solution with boundary data h, real or complex: one
         vector in loop order, or an (n_boundary, K) block of K columns."""
-        return lift(self.mesh, self._lu, self._J_ib, h)
+        return lift(self.mesh, self._solve_interior, self._J_ib, h)
 
     def flux_coeffs(self, v) -> np.ndarray:
         """Variational flux pairings: the boundary rows of J, times v."""

@@ -379,8 +379,8 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
                     base = res.sol
                     jet = (res.achieved_s, res.achieved_p)
                 prev = base
-                # leaves the exact LU at this jet on the base, which
-                # preconditions the next jet's Newton steps
+                # solved by GMRES on the mesh's Laplace LU; the base is
+                # left as it is
                 op = LinearizedOperator.at_base(cond, base)
                 sym = extract_symbol(op.dn_flux, mesh, frame, taus, jet=jet,
                                      width_factor=width_factor)

@@ -1,11 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qcond.barriers import (JetRequest, c2_surrogate_norm, exp_barrier, in_paraboloid,
                             log_barrier, prescribe_jet, verify_one_sided)
-from qcond.conductivity import (jet_radius, preset_constant, preset_decay_mix,
+from qcond.conductivity import (jet_radius, make_preset, preset_constant, preset_decay_mix,
                                 preset_p_gauss, preset_s_gauss, preset_sin_slope)
 from qcond.forward import boundary_jet_of, solve_dirichlet
 from qcond.geometry import boundary_frame_at, build_disk_mesh, normalize_above_origin, transform_mesh
@@ -71,6 +73,31 @@ def test_in_paraboloid_margins_nonneg():
                     continue
                 rep = verify_one_sided(cond, log_barrier(0.3, (pp, pn), jr.A), mn)
                 assert rep.min_margin >= -1e-10, (cond.name, pp, pn, rep.min_margin)
+
+
+@functools.lru_cache(maxsize=None)
+def coarse_normalized_mesh():
+    return normalized_mesh(0.2)
+
+
+# every smooth preset; sin_slope is kinked at p = 0
+SMOOTH_MODELS = ("constant", "one_plus_s2", "p_gauss(0.25)", "s_gauss(0.25)",
+                 "p_lorentz(0.2)", "p_lorentz_tail", "decay_mix(0.2,0.05,0.1)")
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(SMOOTH_MODELS), s=st.floats(-1.0, 1.0),
+       normal=st.floats(1e-3, 1.0), tangent=st.floats(-1.0, 1.0), sign=st.sampled_from((-1, 1)))
+def test_log_barrier_margins_nonneg_inside_paraboloid(model, s, normal, tangent, sign):
+    # a jet (p', pn) with |p'|^2 / B2 <= |pn| <= B1 gives a log barrier that
+    # is a sub- (pn > 0) or supersolution (pn < 0) at every barycenter
+    cond = make_preset(model)
+    jr = jet_radius(cond, s, 2.0, pi1=1e6)   # full paraboloid, no pi1 shrink
+    p_n = sign * normal * jr.b1
+    p_prime = tangent * math.sqrt(jr.b2 * abs(p_n))
+    assume(in_paraboloid(p_prime, p_n, jr.b1, jr.b2))   # roundoff on the rim
+    rep = verify_one_sided(cond, log_barrier(s, (p_prime, p_n), jr.A), coarse_normalized_mesh())
+    assert rep.ok, (model, s, p_prime, p_n, rep.min_margin)
 
 
 def test_out_of_paraboloid_counterexample():

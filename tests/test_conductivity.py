@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from qcond.conductivity import (ConductivityError, ConductivitySpec, _smoothstep,
-                                _smoothstep_d, antisymmetric_part,
-                                check_structural_conditions, evaluate_with_derivatives,
-                                jet_radius, linearized_conductivity, make_preset,
-                                preset_constant, preset_decay_mix, preset_one_plus_s2,
-                                preset_p_gauss, preset_p_lorentz_tail, preset_s_gauss,
-                                preset_sin_slope, rotate_conductivity)
+                                _smoothstep_d, check_structural_conditions,
+                                evaluate_with_derivatives, jet_radius, linearized_conductivity,
+                                make_preset, preset_constant, preset_decay_mix,
+                                preset_one_plus_s2, preset_p_gauss, preset_p_lorentz_tail,
+                                preset_s_gauss, preset_sin_slope, rotate_conductivity)
 
 
 def test_constant_evaluation():
@@ -84,26 +83,6 @@ def test_linearized_matrix_symmetry_random():
     S = rng.normal(size=50)
     M = linearized_conductivity(pg, S, P)
     assert np.allclose(M, np.swapaxes(M, -1, -2), atol=0)
-
-
-def test_antisymmetric_part():
-    c = preset_constant(1.0)
-    assert np.allclose(antisymmetric_part(c, 0.0, np.array([1.0, 2.0])), 0.0)
-    # grad_p a = (0, c), grad u = (p, 0) -> A_12 = c p / 2
-    cval, pval = 0.7, 1.3
-    spec = ConductivitySpec(name="t", fn=lambda s, p: 1.0 + cval * p[..., 1],
-                            grad=lambda s, p: (np.zeros(np.shape(s)),
-                                               np.broadcast_to([0.0, cval], np.shape(p)).copy()))
-    A = antisymmetric_part(spec, 0.0, np.array([pval, 0.0]))
-    assert abs(A[0, 1] - 0.5 * cval * pval) < 1e-14
-    assert np.allclose(A, -A.T, atol=0)
-    assert np.allclose(antisymmetric_part(spec, 0.0, np.zeros(2)), 0.0)
-    # grad_p a parallel to grad u: the two rank-one terms cancel entirely
-    par = ConductivitySpec(name="par", fn=lambda s, p: 1.0 + p[..., 0] + 2.0 * p[..., 1],
-                           grad=lambda s, p: (np.zeros(np.shape(s)),
-                                              np.broadcast_to([1.0, 2.0], np.shape(p)).copy()))
-    gradu = np.array([0.5, 1.0])       # parallel to (1, 2)
-    assert np.abs(antisymmetric_part(par, 0.0, gradu)).max() < 1e-15
 
 
 def test_structural_pass_and_fail():

@@ -11,12 +11,12 @@ from qcond import forward
 from qcond.conductivity import (ConductivityError, make_preset, preset_constant,
                                 preset_one_plus_s2, preset_p_gauss, preset_p_lorentz,
                                 rotate_conductivity)
-from qcond.forward import (KRYLOV_MAX_ITER, SolveError, assemble_linear, assemble_residual,
+from qcond.forward import (KRYLOV_MAX_ITER, SolveError, _gmres, _laplace_factor,
+                           assemble_jacobian, assemble_linear, assemble_residual,
                            boundary_jet_of, coefficient_fields, dn_map, factor_interior,
                            harmonic_extension, load_vector, manufactured_solution,
                            solve_dirichlet)
 from qcond.geometry import (Isometry, boundary_frame_at, build_disk_mesh, transform_mesh)
-from qcond.linearized import LinearizedOperator
 
 C1 = preset_constant(1.0)
 PG = preset_p_gauss(0.25)
@@ -178,12 +178,11 @@ def test_warm_start_imposes_the_data_bitwise():
 
 
 def _neighbour_jets(cond, s):
-    """A base solution at jet p = 0.03 tau, carrying its exact LU, and the
-    data of the neighbouring jet p = 0.035 tau."""
+    """A base solution at jet p = 0.03 tau, carrying the LU its Newton
+    steps ended with, and the data of the neighbouring jet p = 0.035 tau."""
     m = build_disk_mesh(1.0, 0.05)
     fr = boundary_frame_at(m, 0.0)
     base = prescribe_jet(cond, m, JetRequest(frame=fr, s=s, p=0.03 * fr.tau)).sol
-    LinearizedOperator.at_base(cond, base)       # leaves the exact LU on the base
     f = prescribe_jet(cond, m, JetRequest(frame=fr, s=s, p=0.035 * fr.tau)).f
     return m, base, f
 
@@ -206,7 +205,42 @@ def test_warm_start_steps_reuse_the_neighbour_lu():
     cold = solve_dirichlet(cond, m, f)
     assert warm.converged and warm.newton_iters > 1
     assert warm.factorizations == 0 and warm.krylov_iters > 0
+    assert warm.lu is base.lu
     assert np.abs(warm.u - cold.u).max() <= 1e-10 * np.abs(cold.u).max()
+
+
+def test_cold_solve_steps_on_the_laplace_lu():
+    # a cold solve preconditions with the mesh's Laplace LU and, near the
+    # Laplacian, factors nothing
+    cond = make_preset("decay_mix(0.2,0.05,0.1)")
+    m = build_disk_mesh(1.0, 0.05)
+    th = np.arctan2(m.vertices[m.boundary_loop, 1], m.vertices[m.boundary_loop, 0])
+    sol = solve_dirichlet(cond, m, 0.6 + 0.3 * np.cos(th) + 0.2 * np.sin(2 * th))
+    assert sol.converged and sol.newton_iters > 1
+    assert sol.factorizations == 0 and sol.krylov_iters > 0
+    assert sol.lu is _laplace_factor(m)[0]
+
+
+def test_gmres_block_equals_its_columns():
+    # each column stops at its own target's first iteration, as it would
+    # alone; a zero column is solved by 0 in no iteration
+    m = build_disk_mesh(1.0, 0.1)
+    ni = m.n_interior
+    u = 0.6 + m.vertices @ np.array([3.0, 4.0])
+    A = assemble_jacobian(make_preset("decay_mix(0.2,0.05,0.1)"), m, u)[:ni, :ni]
+    lu = _laplace_factor(m)[0]
+    B = np.random.default_rng(5).normal(size=(ni, 3))
+    B[:, 1] = 0.0
+    targets = np.array([1e-4, 1e-8, 1e-10]) * np.linalg.norm(B[:, 0])
+    X, total, met = _gmres(A, np.asfortranarray(B), lu, targets)
+    iters = []
+    for c in range(3):
+        x, k, _ = _gmres(A, B[:, c], lu, targets[c])
+        iters.append(k)
+        assert np.linalg.norm(X[:, c] - x) <= 1e-13 * max(np.linalg.norm(x), 1.0)
+    assert met and total == sum(iters) and iters[1] == 0 and iters[0] < iters[2]
+    assert np.all(X[:, 1] == 0.0)
+    assert np.linalg.norm(A @ X[:, 2] - B[:, 2]) <= targets[2]
 
 
 def test_warm_start_far_lu_refactors():

@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from qcond.conductivity import make_preset, preset_constant, preset_p_gauss, preset_s_gauss
-from qcond.forward import (SolveError, assemble_jacobian, factor_interior,
-                           harmonic_extension, solve_dirichlet)
+from qcond.forward import (KRYLOV_MAX_ITER, SolveError, _laplace_factor, assemble_jacobian,
+                           assemble_linear, factor_interior, harmonic_extension,
+                           solve_dirichlet)
 from qcond.geometry import build_disk_mesh
 from qcond.linearized import LinearizedOperator, fd_derivative_check
 
@@ -123,6 +124,37 @@ def test_at_base_rejects_unconverged_base():
     assert base.lu is lu        # a rejected base keeps its own preconditioner
 
 
+def test_at_base_leaves_the_base_alone():
+    # the operator solves on the mesh's Laplace LU and factors nothing;
+    # the base keeps the LU its own Newton steps ended with
+    m = build_disk_mesh(1.0, 0.05)
+    base = solve_dirichlet(PG, m, 0.4 * np.cos(2 * boundary_angles(m)))
+    lu = base.lu
+    op = LinearizedOperator.at_base(PG, base)
+    op.dn_flux(probe_block(m))
+    assert base.lu is lu
+    assert op.factorizations == 0 and op.krylov_iters > 0
+
+
+def test_preconditioned_miss_factors_once():
+    # a 10:1 anisotropic operator is too far from the Laplacian for GMRES
+    # to reach its target: the first block misses, the operator factors
+    # its own block once, and from then on solves directly
+    m = build_disk_mesh(1.0, 0.05)
+    aniso = np.diag([1.0, 10.0])
+    J = assemble_linear(m, np.broadcast_to(aniso, (len(m.triangles), 2, 2)))
+    op = LinearizedOperator(m, J, preconditioner=_laplace_factor(m)[0])
+    exact = LinearizedOperator.from_fields(m, aniso)
+    H = probe_block(m)
+    V = op.solve(H)
+    # every real column ran to the iteration cap
+    assert op.factorizations == 1 and op.krylov_iters == KRYLOV_MAX_ITER * 2 * H.shape[1]
+    for block, v in ((H, V), (H, op.solve(H)), (H[:, 1].real, op.solve(H[:, 1].real))):
+        ref = exact.solve(block)
+        assert np.linalg.norm(v - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert op.factorizations == 1 and op.krylov_iters == KRYLOV_MAX_ITER * 2 * H.shape[1]
+
+
 def test_complex_data_two_real_solves():
     m = build_disk_mesh(1.0, 0.1)
     th = boundary_angles(m)
@@ -184,7 +216,8 @@ def probe_block(m):
 @pytest.mark.parametrize("make_op", [nonsymmetric_operator, decay_base_operator])
 def test_block_solve_matches_columns(make_op):
     # one multi-column solve rounds differently from K one-column solves,
-    # so the agreement is to roundoff, not bitwise
+    # so the agreement is to roundoff, not bitwise; the base operator
+    # solves by GMRES on the Laplace LU, the other by its own LU
     m = build_disk_mesh(1.0, 0.05)
     op = make_op(m)
     H = probe_block(m)
@@ -196,6 +229,7 @@ def test_block_solve_matches_columns(make_op):
             v, f = op.solve(block[:, k]), op.dn_flux(block[:, k])
             assert np.linalg.norm(V[:, k] - v) <= 1e-13 * np.linalg.norm(v)
             assert np.linalg.norm(F[:, k] - f) <= 1e-13 * np.linalg.norm(f)
+    assert op.factorizations == (make_op is nonsymmetric_operator)
 
 
 @pytest.mark.parametrize("make_op", [nonsymmetric_operator, decay_base_operator])
