@@ -12,7 +12,7 @@ taken as the vertex average, which keeps the Jacobian exact and sparse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -196,12 +196,11 @@ def harmonic_extension(mesh: Mesh, f) -> np.ndarray:
 class DiscreteSolution:
     """Converged FEM solution with its boundary data and diagnostics.
 
-    ``lu`` is the last preconditioner of its Newton steps: the warm
-    start's LU or the mesh's Laplace LU, unless a step missed the Krylov
-    target and factored its own interior block (see ``factor_interior``).
-    A solve warm-started from this one preconditions with it.
     ``flux_coeffs`` are the boundary rows of the residual at ``u``, which
     the stopping test assembled: the variational flux pairings.
+    ``factorizations`` counts the Newton steps that missed the Krylov
+    target and factored their own block, ``krylov_iters`` the GMRES
+    iterations of all steps.
     """
     mesh: Mesh
     cond: ConductivitySpec
@@ -212,8 +211,6 @@ class DiscreteSolution:
     flux_coeffs: np.ndarray            # over boundary_loop
     factorizations: int = 0
     krylov_iters: int = 0
-    lu: Optional[spla.SuperLU] = field(default=None, repr=False)
-    history: list = field(default_factory=list, repr=False)
 
     @property
     def f(self) -> np.ndarray:
@@ -222,10 +219,10 @@ class DiscreteSolution:
 
 
 # A Newton step first solves J du = -R by GMRES preconditioned with the
-# solve's current LU.  It must bring |J du + R| below KRYLOV_TARGET times
+# mesh's Laplace LU.  It must bring |J du + R| below KRYLOV_TARGET times
 # the Newton stopping threshold within KRYLOV_MAX_ITER iterations, which
 # leaves the Newton iterates those of exact steps; else the step factors
-# its own block, and that LU preconditions the rest of the solve.
+# its own block, and that LU preconditions the rest of this one solve.
 KRYLOV_TARGET = 1e-2
 KRYLOV_MAX_ITER = 12
 
@@ -297,15 +294,13 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
     on the same mesh, from that solution plus the harmonic extension of
     the data change f - warm_start.f, with the boundary values then set
     to f exactly.  It backtracks on the interior residual norm.  Each
-    step is a Krylov step preconditioned by the warm start's LU, or else
-    by the mesh's Laplace LU (see KRYLOV_TARGET).  Non-convergence
-    signals data outside the solvable regime; it raises SolveError
-    unless ``raise_on_fail`` is cleared, in which case the partial state
-    is returned with ``converged=False``.
+    step is a Krylov step preconditioned by the mesh's Laplace LU (see
+    KRYLOV_TARGET).  Non-convergence signals data outside the solvable
+    regime; it raises SolveError unless ``raise_on_fail`` is cleared, in
+    which case the partial state is returned with ``converged=False``.
     """
     fb = boundary_values(mesh, f)
     ni = mesh.n_interior
-    lu = None
     if warm_start is not None:
         if warm_start.mesh is not mesh:
             raise ValueError("solve_dirichlet: the warm start lives on another mesh")
@@ -313,15 +308,12 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
         # for Newton to remove, as overwriting the boundary alone would
         u = warm_start.u + harmonic_extension(mesh, fb - warm_start.f)
         u[ni:] = fb
-        lu = warm_start.lu
     else:
         u = harmonic_extension(mesh, fb)
-    if lu is None:
-        lu = _laplace_factor(mesh)[0]
+    lu = _laplace_factor(mesh)[0]
 
     R, scale = assemble_residual(cond, mesh, u, source)
     rnorm = np.linalg.norm(R[:ni])
-    history = [float(rnorm)]
     # roundoff floor: constants make the flux scale vanish identically
     atol = 1e-13 * (1.0 + np.abs(fb).max())
     factorizations = krylov_iters = 0
@@ -349,7 +341,6 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
         else:
             break  # no decrease at the smallest step: stop and report
         u, R, rnorm, scale = u_try, R_try, r_try, scale_try
-        history.append(float(rnorm))
     converged = rnorm <= tol * scale + atol
     if not converged and raise_on_fail:
         raise SolveError(f"Newton stalled after {it} iterations, "
@@ -357,7 +348,7 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
     return DiscreteSolution(mesh=mesh, cond=cond, u=u, newton_iters=it,
                             residual_norm=float(rnorm), converged=converged,
                             flux_coeffs=R[ni:], factorizations=factorizations,
-                            krylov_iters=krylov_iters, lu=lu, history=history)
+                            krylov_iters=krylov_iters)
 
 
 @dataclass

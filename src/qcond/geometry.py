@@ -18,11 +18,14 @@ from scipy.spatial import Delaunay
 class Mesh:
     """Triangulated convex domain with an oriented boundary loop.
 
-    Immutable after construction; shared read-only across solves.  Every
-    geometric array is computed here, once.  ``_cache`` holds only what
-    the solvers build lazily on the mesh (the P1 pattern, the Laplace LU,
-    the patch-recovery operator).  Vertices are numbered in solver order,
-    interior first, so interior and boundary blocks are slices.
+    Its geometry is fixed at construction: every geometric array is
+    computed here, once.  ``_cache`` holds the solver state built on the
+    mesh: the P1 pattern, the Laplace LU (the only LU kept between
+    calls) and the patch-recovery operator.  Solvers fill each entry
+    once, and ``reconstruct`` fills the forward solver's before any chain
+    starts, so chains only read the mesh.  Vertices are numbered in
+    solver order, interior first, so interior and boundary blocks are
+    slices.
 
     Attributes
     ----------

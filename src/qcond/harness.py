@@ -119,17 +119,28 @@ def validate_config(cfg: RunConfig):
     if unknown:
         raise ConfigError(f"unknown stages {', '.join(unknown)}; "
                           f"valid stages: {', '.join(RunConfig.stages)}")
-    for name, least in (("n_radii", 2), ("n_directions", 1), ("jobs", 1)):
+    for name, least in (("n_radii", 2), ("n_directions", 1), ("jobs", 1),
+                        ("nyquist_nodes", 1)):
         if getattr(cfg, name) < least:
             raise ConfigError(f"{name} must be at least {least}")
     if cfg.regime == "decay" and "reconstruction" in cfg.stages and cfg.r_max is None:
         raise ConfigError("decay regime needs r_max")
-    for name, v in (("newton_tol", cfg.newton_tol), ("width_factor", cfg.width_factor),
-                    ("pi1", cfg.pi1)):
-        if v <= 0:
+    if cfg.regime == "small" and cfg.r_max is not None:
+        raise ConfigError("r_max applies to the decay regime only; "
+                          "the small regime takes radius_fraction")
+    # radius_fraction may exceed 1: radii beyond pi(s) fail per sample
+    for name in ("newton_tol", "width_factor", "pi1", "big_n", "radius_fraction",
+                 "structural_p_max", "r_max"):
+        v = getattr(cfg, name)
+        if v is not None and v <= 0:
             raise ConfigError(f"{name} must be positive")
     if not cfg.tau_ladder or any(t <= 0 for t in cfg.tau_ladder):
         raise ConfigError("tau_ladder must be positive")
+    if not cfg.convergence_h or any(not 0 < h < cfg.radius for h in cfg.convergence_h):
+        raise ConfigError("convergence_h: need 0 < h < radius for each h")
+    s_range = cfg.structural_s_range
+    if len(s_range) != 2 or s_range[0] > s_range[1]:
+        raise ConfigError("structural_s_range must be two values lo, hi with lo <= hi")
 
 
 @dataclass
@@ -249,7 +260,7 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
         t0 = time.perf_counter()
         rep = check_structural_conditions(
             cond, cfg.structural_s_range,
-            (0.0, cfg.r_max if cfg.regime == "decay" and cfg.r_max else cfg.structural_p_max))
+            (0.0, cfg.r_max or cfg.structural_p_max))
         ok = rep.passed
         details = rep.summary()
         if not ok:

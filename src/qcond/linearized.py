@@ -35,23 +35,23 @@ LINEAR_RTOL = 1e-10
 class LinearizedOperator:
     """Linearized operator with a many-RHS flux evaluator.
 
-    Without a ``preconditioner`` it factors its interior block and solves
-    directly.  Given an LU of a matrix near that block, it solves by
-    GMRES until a block misses LINEAR_RTOL.  ``factorizations`` counts
-    the LUs it made, ``krylov_iters`` its GMRES iterations summed over
+    By default it factors its interior block and solves directly.  With
+    ``krylov`` it solves by GMRES preconditioned with the mesh's Laplace
+    LU until a block misses LINEAR_RTOL.  ``factorizations`` counts the
+    LUs it made, ``krylov_iters`` its GMRES iterations summed over
     columns.
     """
 
-    def __init__(self, mesh: Mesh, J_full, preconditioner: Optional[spla.SuperLU] = None):
+    def __init__(self, mesh: Mesh, J_full, krylov: bool = False):
         self.mesh = mesh
         self.J = J_full.tocsr()
         ni = mesh.n_interior
         self._J_ib = self.J[:ni, ni:]
         self._J_b = self.J[ni:]
         self.factorizations = self.krylov_iters = 0
-        # the interior block while GMRES solves; None once solves are direct
-        self._A = None if preconditioner is None else self.J[:ni, :ni]
-        self._lu = self._factor() if preconditioner is None else preconditioner
+        # GMRES solves on the interior block until the operator has its own LU
+        self._A = self.J[:ni, :ni] if krylov else None
+        self._lu = None if krylov else self._factor()
 
     def _factor(self) -> spla.SuperLU:
         self.factorizations += 1
@@ -59,13 +59,12 @@ class LinearizedOperator:
 
     @classmethod
     def at_base(cls, cond: ConductivitySpec, base: DiscreteSolution) -> "LinearizedOperator":
-        """Operator at a converged base, preconditioned by the mesh's
-        Laplace LU; the base is left as it is.  A base that did not
-        converge is outside the solvable regime."""
+        """Operator at a converged base, solved by GMRES on the mesh's
+        Laplace LU.  A base that did not converge is outside the solvable
+        regime."""
         if not base.converged:
             raise SolveError("at_base: base solution did not converge")
-        return cls(base.mesh, assemble_jacobian(cond, base.mesh, base.u),
-                   preconditioner=_laplace_factor(base.mesh)[0])
+        return cls(base.mesh, assemble_jacobian(cond, base.mesh, base.u), krylov=True)
 
     @classmethod
     def from_fields(cls, mesh: Mesh, M: np.ndarray, w: Optional[np.ndarray] = None) -> "LinearizedOperator":
@@ -77,9 +76,9 @@ class LinearizedOperator:
         return cls(mesh, assemble_linear(mesh, M, w))
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        if self._A is not None:
+        if self._lu is None:
             target = LINEAR_RTOL * np.linalg.norm(rhs.reshape(len(rhs), -1), axis=0)
-            x, k, met = _gmres(self._A, rhs, self._lu, target)
+            x, k, met = _gmres(self._A, rhs, _laplace_factor(self.mesh)[0], target)
             self.krylov_iters += k
             if met:
                 return x

@@ -332,6 +332,13 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
         raise ValueError(f"regime must be one of {', '.join(REGIMES)}, got {regime!r}")
     if grid.n_radii < 2:
         raise ValueError("the radial inversion needs n_radii >= 2 (at least 3 nodes)")
+    if regime == "small" and grid.r_max is not None:
+        raise ValueError("r_max applies to the decay regime only; "
+                         "the small regime takes radius_fraction")
+    if regime == "decay" and grid.r_max is None:
+        raise ValueError("decay-regime grid needs an explicit r_max")
+    if grid.r_max is not None and grid.r_max <= 0:
+        raise ValueError("r_max must be positive")
     taus = admissible_taus(mesh, tau_ladder, nyquist_nodes)
     if len(taus) < 2:
         raise ValueError("mesh too coarse for the frequency ladder")
@@ -344,12 +351,7 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
     def run_chain(task):
         s, theta = task
         frame = boundary_frame_at(mesh, theta)
-        if regime == "small":
-            r_max = grid.radius_fraction * pi_profile[s]
-        else:
-            if grid.r_max is None:
-                raise ValueError("decay-regime grid needs an explicit r_max")
-            r_max = grid.r_max
+        r_max = grid.r_max or grid.radius_fraction * pi_profile[s]
         q_grid = np.linspace(0.0, r_max, grid.n_radii + 1)
         D = np.full(len(q_grid), np.nan)
         status = ["ok"] * len(q_grid)
@@ -379,8 +381,7 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
                     base = res.sol
                     jet = (res.achieved_s, res.achieved_p)
                 prev = base
-                # solved by GMRES on the mesh's Laplace LU; the base is
-                # left as it is
+                # solved by GMRES on the mesh's Laplace LU
                 op = LinearizedOperator.at_base(cond, base)
                 sym = extract_symbol(op.dn_flux, mesh, frame, taus, jet=jet,
                                      width_factor=width_factor)

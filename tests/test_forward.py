@@ -13,9 +13,8 @@ from qcond.conductivity import (ConductivityError, make_preset, preset_constant,
                                 rotate_conductivity)
 from qcond.forward import (KRYLOV_MAX_ITER, SolveError, _gmres, _laplace_factor,
                            assemble_jacobian, assemble_linear, assemble_residual,
-                           boundary_jet_of, coefficient_fields, dn_map, factor_interior,
-                           harmonic_extension, load_vector, manufactured_solution,
-                           solve_dirichlet)
+                           boundary_jet_of, coefficient_fields, dn_map, harmonic_extension,
+                           load_vector, manufactured_solution, solve_dirichlet)
 from qcond.geometry import (Isometry, boundary_frame_at, build_disk_mesh, transform_mesh)
 
 C1 = preset_constant(1.0)
@@ -104,8 +103,15 @@ def test_newton_quadratic_tail():
     # cos(2 theta) data: affine traces would solve gradient-only models exactly
     m = build_disk_mesh(1.0, 0.1)
     th = np.arctan2(m.vertices[m.boundary_loop, 1], m.vertices[m.boundary_loop, 0])
-    sol = solve_dirichlet(PG, m, np.cos(2 * th), tol=1e-13)
-    hist = [r for r in sol.history if r > 1e-14]
+    # the solve capped at k iterations reports the k-th Newton residual
+    hist = []
+    for k in range(20):
+        sol = solve_dirichlet(PG, m, np.cos(2 * th), tol=1e-13, max_iter=k,
+                              raise_on_fail=False)
+        if sol.residual_norm > 1e-14:
+            hist.append(sol.residual_norm)
+        if sol.converged:
+            break
     assert len(hist) >= 3
     orders = [math.log(hist[i + 1] / hist[i]) / math.log(hist[i] / hist[i - 1])
               for i in range(1, len(hist) - 1) if hist[i] < hist[i - 1]]
@@ -178,8 +184,8 @@ def test_warm_start_imposes_the_data_bitwise():
 
 
 def _neighbour_jets(cond, s):
-    """A base solution at jet p = 0.03 tau, carrying the LU its Newton
-    steps ended with, and the data of the neighbouring jet p = 0.035 tau."""
+    """A base solution at jet p = 0.03 tau and the data of the
+    neighbouring jet p = 0.035 tau."""
     m = build_disk_mesh(1.0, 0.05)
     fr = boundary_frame_at(m, 0.0)
     base = prescribe_jet(cond, m, JetRequest(frame=fr, s=s, p=0.03 * fr.tau)).sol
@@ -198,14 +204,13 @@ def test_warm_start_lift_solves_affine_data_without_a_step():
     assert np.abs(warm.u - cold.u).max() <= 1e-10 * np.abs(cold.u).max()
 
 
-def test_warm_start_steps_reuse_the_neighbour_lu():
+def test_warm_start_steps_on_the_laplace_lu():
     cond = make_preset("decay_mix(0.2,0.05,0.1)")
     m, base, f = _neighbour_jets(cond, 0.6)
     warm = solve_dirichlet(cond, m, f, warm_start=base)
     cold = solve_dirichlet(cond, m, f)
     assert warm.converged and warm.newton_iters > 1
     assert warm.factorizations == 0 and warm.krylov_iters > 0
-    assert warm.lu is base.lu
     assert np.abs(warm.u - cold.u).max() <= 1e-10 * np.abs(cold.u).max()
 
 
@@ -218,7 +223,6 @@ def test_cold_solve_steps_on_the_laplace_lu():
     sol = solve_dirichlet(cond, m, 0.6 + 0.3 * np.cos(th) + 0.2 * np.sin(2 * th))
     assert sol.converged and sol.newton_iters > 1
     assert sol.factorizations == 0 and sol.krylov_iters > 0
-    assert sol.lu is _laplace_factor(m)[0]
 
 
 def test_gmres_block_equals_its_columns():
@@ -243,20 +247,19 @@ def test_gmres_block_equals_its_columns():
     assert np.linalg.norm(A @ X[:, 2] - B[:, 2]) <= targets[2]
 
 
-def test_warm_start_far_lu_refactors():
-    # decay_mix stays within 20 % of a = 1 and the Laplace LU still meets
-    # the Krylov target; a 10:1 anisotropic Laplacian does not
+def test_newton_step_factors_when_the_laplace_lu_misses():
+    # a = 1 + s^2 ranges over [1, 2.69] on data up to |u| = 1.3, with the
+    # drift 2 s grad u: too far from the Laplacian for GMRES to meet the
+    # Krylov target, so a step factors its own block for the rest of the solve
     m = build_disk_mesh(1.0, 0.05)
-    cond = make_preset("decay_mix(0.2,0.05,0.1)")
-    fr = boundary_frame_at(m, 0.0)
-    f = prescribe_jet(cond, m, JetRequest(frame=fr, s=0.6, p=5.0 * fr.tau, regime="decay")).f
-    far = solve_dirichlet(C1, m, f)
-    aniso = np.broadcast_to(np.diag([1.0, 10.0]), (len(m.triangles), 2, 2))
-    far.lu = factor_interior(m, assemble_linear(m, aniso))
+    cond = preset_one_plus_s2()
+    th = np.arctan2(m.vertices[m.boundary_loop, 1], m.vertices[m.boundary_loop, 0])
+    far = solve_dirichlet(cond, m, np.cos(th) + 0.5 * np.sin(2 * th))
+    assert far.factorizations >= 1 and far.krylov_iters >= KRYLOV_MAX_ITER
+    f = np.cos(th) + 0.6 * np.sin(2 * th)
     warm = solve_dirichlet(cond, m, f, warm_start=far)
     cold = solve_dirichlet(cond, m, f)
-    assert warm.converged and warm.factorizations >= 1
-    assert warm.krylov_iters >= KRYLOV_MAX_ITER
+    assert warm.converged
     assert np.abs(warm.u - cold.u).max() <= 1e-10 * np.abs(cold.u).max()
     with pytest.raises(ValueError, match="another mesh"):
         solve_dirichlet(cond, build_disk_mesh(1.0, 0.1), lambda x: x[:, 0], warm_start=far)

@@ -11,6 +11,12 @@ from qcond.harness import (ConfigError, RunConfig, load_config, parse_config, ru
 from qcond.recovery import RecoveryGrid, RecoverySample
 
 
+def config_text(values: dict) -> str:
+    """Config lines setting each key to its value; a tuple is comma-separated."""
+    return "\n".join(f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}"
+                     for k, v in values.items())
+
+
 def test_parse_defaults_and_overrides():
     cfg = parse_config("""
     # comment only
@@ -48,6 +54,20 @@ def test_parse_rejects_fit_threshold():
         parse_config("fit_threshold = 0.05")
 
 
+# values that would crash mid-run, or be ignored, if they were accepted
+MID_RUN_FAILURES = (
+    (dict(nyquist_nodes=0), "nyquist_nodes must be at least 1"),
+    (dict(big_n=0.0), "big_n must be positive"),
+    (dict(radius_fraction=-0.5), "radius_fraction must be positive"),
+    (dict(radius_fraction=0.0), "radius_fraction must be positive"),
+    (dict(regime="decay", r_max=-1.0), "r_max must be positive"),
+    (dict(structural_p_max=-1.0), "structural_p_max must be positive"),
+    (dict(convergence_h=(0.1, 0.0)), "convergence_h: need 0 < h < radius"),
+    (dict(r_max=3.0), "r_max applies to the decay regime only"),
+    (dict(structural_s_range=(2.0, -2.0)), "structural_s_range must be two values"),
+)
+
+
 def test_validation_errors():
     with pytest.raises(ConfigError, match="h < radius"):
         parse_config("h = 2.0\nradius = 1.0")
@@ -70,15 +90,21 @@ def test_validation_errors():
         parse_config("n_directions = 0")
     with pytest.raises(ConfigError, match="jobs must be at least 1"):
         parse_config("jobs = 0")
+    for fields, cause in MID_RUN_FAILURES:
+        with pytest.raises(ConfigError, match=cause):
+            parse_config(config_text(fields))
 
 
 def test_run_validates_config_before_writing(tmp_path):
     # a config built in code is checked like a parsed one: a misspelt
-    # stage is rejected before the output directory is created
-    cfg = RunConfig(h=0.1, out_dir=str(tmp_path / "o"), stages=("reconstuction",))
-    with pytest.raises(ConfigError, match="unknown stages reconstuction"):
-        run(cfg, echo=None)
-    assert not (tmp_path / "o").exists()
+    # stage, or a value that would fail mid-run, is rejected before the
+    # output directory is created
+    for fields, cause in ((dict(stages=("reconstuction",)), "unknown stages reconstuction"),
+                          *MID_RUN_FAILURES):
+        cfg = RunConfig(h=0.1, out_dir=str(tmp_path / "o"), **fields)
+        with pytest.raises(ConfigError, match=cause):
+            run(cfg, echo=None)
+        assert not (tmp_path / "o").exists()
 
 
 def test_every_field_round_trips_through_parse_config():
@@ -92,9 +118,7 @@ def test_every_field_round_trips_through_parse_config():
                   stages=("mesh", "reconstruction"), jet_batch="jets.txt", out_dir="out",
                   seed=7, jobs=2)
     assert set(values) == {f.name for f in dataclasses.fields(RunConfig)}
-    text = "\n".join(f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}"
-                     for k, v in values.items())
-    cfg, default = parse_config(text), RunConfig()
+    cfg, default = parse_config(config_text(values)), RunConfig()
     for k, v in values.items():
         assert getattr(default, k) != v, k
         assert repr(getattr(cfg, k)) == repr(v), k

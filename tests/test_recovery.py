@@ -294,6 +294,11 @@ def test_reconstruct_rejects_fewer_than_two_admissible_frequencies():
     (PolarGrid(n_directions=1, n_radii=1), "small", r"n_radii >= 2"),
     (PolarGrid(n_directions=1, n_radii=2, r_max=1.0), "bogus",
      "^regime must be one of small, decay, got 'bogus'$"),
+    (PolarGrid(n_directions=1, n_radii=2), "decay", "^decay-regime grid needs an explicit r_max$"),
+    (PolarGrid(n_directions=1, n_radii=2, r_max=-1.0), "decay", "^r_max must be positive$"),
+    # the small regime's radii come from radius_fraction and pi(s)
+    (PolarGrid(n_directions=1, n_radii=2, r_max=1.0), "small",
+     "^r_max applies to the decay regime only"),
 ])
 def test_reconstruct_rejects_bad_requests_before_any_solve(grid, regime, cause):
     # the mesh's solver state is never built
