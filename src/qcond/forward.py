@@ -8,6 +8,15 @@ measurement layer.
 
 One-point quadrature per triangle: grad u is triangle-constant and u is
 taken as the vertex average, which keeps the Jacobian exact and sparse.
+
+The P1 kernels work on rows of length T, one entry per triangle: the
+mesh's (3, T) vertex rows and (3, 2, T) hat-gradient rows, the state's
+average and two gradient rows, and the coefficients component by
+component.  A residual is three rows of element loads and one
+``np.bincount``; a stiffness is nine rows of element-block entries and
+one ``np.bincount`` into the CSR pattern the mesh caches.  The Laplace
+matrix, ``LinearizedOperator.from_fields`` and every Newton Jacobian go
+through the one ``assemble_linear``.
 """
 
 from __future__ import annotations
@@ -39,35 +48,40 @@ def boundary_values(mesh: Mesh, f) -> np.ndarray:
 
 
 def _triangle_state(mesh: Mesh, u: np.ndarray):
-    """Per-triangle (vertex-average u, triangle-constant grad u): the one
-    quadrature point at which every coefficient is evaluated."""
-    ut = u[mesh.triangles]
-    return ut.mean(axis=1), np.einsum("ti,tik->tk", ut, mesh.hat_gradients)
+    """Per-triangle vertex-average u, shape (T,), and triangle-constant
+    grad u, shape (2, T): the one quadrature point at which every
+    coefficient is evaluated."""
+    ut = u[mesh.tri_t]
+    return (ut[0] + ut[1] + ut[2]) / 3.0, mesh.p1_gradient(ut)
 
 
 def coefficient_fields(cond: ConductivitySpec, mesh: Mesh, u: np.ndarray):
-    """Per-triangle (a, M, w): flux matrix M = a I + grad_u (x) grad_p a
-    and drift w = a_s grad_u, evaluated at vertex-average u and the
+    """Per-triangle (a, grad u, M, w) as rows: the flux matrix
+    M = a I + grad u (x) grad_p a, shape (2, 2, T), and the drift
+    w = a_s grad u, shape (2, T), evaluated at vertex-average u and the
     triangle-constant gradient."""
     ubar, grad = _triangle_state(mesh, u)
-    a, a_s, gp = evaluate_with_derivatives(cond, ubar, grad)
-    M = a[:, None, None] * np.eye(2) + grad[:, :, None] * gp[:, None, :]
-    w = a_s[:, None] * grad
-    return a, grad, M, w
+    # a conductivity takes p as (T, 2): the transposed view of the rows
+    a, a_s, gp = evaluate_with_derivatives(cond, ubar, grad.T)
+    M = grad[:, None] * gp.T[None, :]
+    M[0, 0] += a
+    M[1, 1] += a
+    return a, grad, M, a_s * grad
 
 
 def _p1_pattern(mesh: Mesh):
     """CSR pattern of the P1 stiffness and the scatter map into it.
 
-    Entry (t, i, j) of the flattened (T, 3, 3) element blocks lands in
-    slot ``scatter[9 t + 3 i + j]`` of the CSR data, so assembly is one
-    ``np.bincount``.  ``_laplace_factor`` builds it with the Laplace LU.
+    Entry (i, j) of triangle t's element block lands in slot
+    ``scatter[(3 i + j) T + t]`` of the CSR data: the (3, 3, T) block rows
+    of ``assemble_linear``, flattened, are one ``np.bincount``.
+    ``_laplace_factor`` builds it with the Laplace LU.
     """
     if "p1_pattern" not in mesh._cache:
-        tri = mesh.triangles
+        tri = mesh.tri_t
         n = len(mesh.vertices)
-        rows = np.repeat(tri, 3, axis=1).ravel()
-        cols = np.tile(tri, (1, 3)).ravel()
+        rows = np.repeat(tri, 3, axis=0).ravel()
+        cols = np.tile(tri, (3, 1)).ravel()
         # scipy's COO->CSR conversion finds the pattern with less scratch
         # memory than np.unique with an inverse, whose temporaries would
         # set the peak RSS of a fine mesh's set-up
@@ -84,15 +98,31 @@ def _p1_pattern(mesh: Mesh):
 def assemble_linear(mesh: Mesh, M: np.ndarray, w: Optional[np.ndarray] = None) -> sp.csr_matrix:
     """Stiffness of v -> -div(M grad v + w v) with per-triangle M, w.
 
-    Row i, column j carries  area * [g_i . (M g_j) + (w . g_i)/3].
+    ``M`` is (2, 2) or (2, 2, T) and ``w`` (2,) or (2, T): each component
+    is a constant or a row over the triangles.  Row i, column j carries
+    area * [g_i . (M g_j) + (w . g_i)/3], formed as nine rows of length T.
     """
-    g = mesh.hat_gradients
-    area = mesh.areas
-    # batched matmul is several times faster on a contiguous right operand
-    blocks = area[:, None, None] * (g @ M @ np.ascontiguousarray(g.transpose(0, 2, 1)))
-    if w is not None:
-        blocks += ((area / 3.0)[:, None] * (g @ w[:, :, None])[:, :, 0])[:, :, None]
+    # first: a mesh's first call then builds the pattern before it holds
+    # any block row, which keeps the set-up peak down
     indices, indptr, scatter = _p1_pattern(mesh)
+    M = np.asarray(M, dtype=float)
+    gx, gy = mesh.hat_t[:, 0], mesh.hat_t[:, 1]         # (3, T): row i is hat i
+    # area (M g_j + w/3) for the three hats j: the drift pairs with g_i
+    # alone, so it joins every column's vector
+    mx = M[0, 0] * gx + M[0, 1] * gy
+    my = M[1, 0] * gx + M[1, 1] * gy
+    if w is not None:
+        w = np.asarray(w, dtype=float)
+        mx += w[0] / 3.0
+        my += w[1] / 3.0
+    mx *= mesh.areas
+    my *= mesh.areas
+    # block (i, j) of every triangle, one row of hats i at a time: a second
+    # (3, 3, T) temporary would cost more in page faults than in arithmetic
+    blocks = np.empty((3, 3, len(mesh.areas)))
+    for i in range(3):
+        np.multiply(gx[i], mx, out=blocks[i])
+        blocks[i] += gy[i] * my
     n = len(mesh.vertices)
     data = np.bincount(scatter, weights=blocks.ravel(), minlength=len(indices))
     A = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
@@ -115,13 +145,14 @@ def assemble_residual(cond: ConductivitySpec, mesh: Mesh, u: np.ndarray,
     values of a are evaluated, none of its derivatives.
     """
     ubar, grad = _triangle_state(mesh, u)
-    a = evaluate(cond, ubar, grad)
-    flux = a[:, None] * grad
-    r_loc = np.einsum("t,tk,tik->ti", mesh.areas, flux, mesh.hat_gradients)
-    R = np.bincount(mesh.triangles.ravel(), weights=r_loc.ravel(), minlength=len(mesh.vertices))
+    a = evaluate(cond, ubar, grad.T)
+    fx, fy = mesh.areas * a * grad                       # area-weighted flux rows
+    g = mesh.hat_t
+    r_loc = g[:, 0] * fx + g[:, 1] * fy                  # (3, T)
+    R = np.bincount(mesh.tri_t.ravel(), weights=r_loc.ravel(), minlength=len(mesh.vertices))
     if source is not None:
         R += load_vector(mesh, source)
-    scale = float(np.sqrt(np.sum(mesh.areas * np.sum(flux * flux, axis=1))))
+    scale = float(np.sqrt(np.sum(a * (fx * grad[0] + fy * grad[1]))))
     return R, scale
 
 
@@ -133,12 +164,12 @@ def assemble_jacobian(cond: ConductivitySpec, mesh: Mesh, u: np.ndarray) -> sp.c
 
 def load_vector(mesh: Mesh, source: Callable) -> np.ndarray:
     """<source, hat_i> by the edge-midpoint rule (degree-2 exact)."""
-    v = mesh.vertices[mesh.triangles]            # (T, 3, 2)
-    mids = 0.5 * (v + np.roll(v, -1, axis=1))    # midpoint m_k opposite vertex k+2
+    v = mesh.vertices[mesh.tri_t]                # (3, T, 2)
+    mids = 0.5 * (v + np.roll(v, -1, axis=0))    # midpoint m_k opposite vertex k+2
     gvals = np.asarray(source(mids.reshape(-1, 2)), dtype=float).reshape(mids.shape[:2])
     # hat_i = 1/2 on the two midpoints adjacent to vertex i, 0 opposite
-    loc = (mesh.areas / 3.0)[:, None] * 0.5 * (gvals + np.roll(gvals, 1, axis=1))
-    return np.bincount(mesh.triangles.ravel(), weights=loc.ravel(), minlength=len(mesh.vertices))
+    loc = (mesh.areas / 3.0) * 0.5 * (gvals + np.roll(gvals, 1, axis=0))
+    return np.bincount(mesh.tri_t.ravel(), weights=loc.ravel(), minlength=len(mesh.vertices))
 
 
 def factor_interior(mesh: Mesh, A: sp.spmatrix) -> spla.SuperLU:
@@ -156,7 +187,7 @@ def _laplace_factor(mesh: Mesh):
     ``K[:n_interior, n_interior:]``, once per mesh.  Assembling K builds
     the P1 pattern too, which readies the mesh for every assembly."""
     if "laplace_lu" not in mesh._cache:
-        K = assemble_linear(mesh, np.broadcast_to(np.eye(2), (len(mesh.triangles), 2, 2)))
+        K = assemble_linear(mesh, np.eye(2))
         ni = mesh.n_interior
         mesh._cache["laplace_lu"] = (factor_interior(mesh, K), K[:ni, ni:])
     return mesh._cache["laplace_lu"]

@@ -164,7 +164,7 @@ def recover_vertex_values(mesh: Mesh, tri_field: np.ndarray) -> np.ndarray:
 def recovered_gradient(mesh: Mesh, tri_field: np.ndarray) -> np.ndarray:
     """Per-triangle gradient of a per-triangle field via patch recovery."""
     vv = recover_vertex_values(mesh, tri_field)
-    return np.einsum("ti,tik->tk", vv[mesh.triangles], mesh.hat_gradients)
+    return mesh.p1_gradient(vv[mesh.tri_t]).T
 
 
 # ---------------------------------------------------------------------------

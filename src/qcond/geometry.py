@@ -19,7 +19,10 @@ class Mesh:
     """Triangulated convex domain with an oriented boundary loop.
 
     Its geometry is fixed at construction: every geometric array is
-    computed here, once.  ``_cache`` holds the solver state built on the
+    computed here, once.  The P1 kernels read per-triangle data as
+    contiguous rows of length T: ``tri_t`` and ``hat_t`` are the stored
+    arrays, and ``triangles`` and ``hat_gradients`` are transposed views
+    of them, not copies.  ``_cache`` holds the solver state built on the
     mesh: the P1 pattern, the Laplace LU (the only LU kept between
     calls) and the patch-recovery operator.  Solvers fill each entry
     once, and ``reconstruct`` fills the forward solver's before any chain
@@ -30,7 +33,9 @@ class Mesh:
     Attributes
     ----------
     vertices : (N, 2) float array
-    triangles : (T, 3) int array, positively oriented
+    tri_t : (3, T) int array, the vertices of each triangle, positively
+        oriented
+    triangles : (T, 3) view of ``tri_t``
     boundary_loop : (B,) int array, boundary vertices in CCW order, which
         is ``arange(n_interior, N)``
     n_interior : number of interior vertices, N - B
@@ -39,7 +44,9 @@ class Mesh:
     h : target edge length
     diameter : domain diameter
     areas : (T,) triangle areas
-    hat_gradients : (T, 3, 2) gradients of the three barycentric hats
+    hat_t : (3, 2, T) gradients of the three barycentric hats:
+        ``hat_t[i, k]`` is component k of hat i's gradient
+    hat_gradients : (T, 3, 2) view of ``hat_t``
     centroids : (T, 2) triangle centroids
     interior_idx : indices of the interior vertices, ``arange(n_interior)``
     edge_lengths : (B,) boundary edge lengths
@@ -53,7 +60,8 @@ class Mesh:
 
     def __init__(self, vertices, triangles, boundary_loop, h, diameter):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = np.asarray(triangles, dtype=int)
+        self.tri_t = np.ascontiguousarray(np.asarray(triangles, dtype=int).T)
+        self.triangles = self.tri_t.T
         self.boundary_loop = np.asarray(boundary_loop, dtype=int)
         self.n_interior = len(self.vertices) - len(self.boundary_loop)
         if not np.array_equal(self.boundary_loop, np.arange(self.n_interior, len(self.vertices))):
@@ -68,13 +76,14 @@ class Mesh:
         d2 = v[:, 2] - v[:, 0]
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         self.areas = 0.5 * det
-        g = np.empty((len(self.triangles), 3, 2))
-        g[:, 1, 0] = d2[:, 1] / det
-        g[:, 1, 1] = -d2[:, 0] / det
-        g[:, 2, 0] = -d1[:, 1] / det
-        g[:, 2, 1] = d1[:, 0] / det
-        g[:, 0] = -g[:, 1] - g[:, 2]
-        self.hat_gradients = g
+        g = np.empty((3, 2, len(det)))
+        g[1, 0] = d2[:, 1] / det
+        g[1, 1] = -d2[:, 0] / det
+        g[2, 0] = -d1[:, 1] / det
+        g[2, 1] = d1[:, 0] / det
+        g[0] = -g[1] - g[2]
+        self.hat_t = g
+        self.hat_gradients = g.transpose(2, 0, 1)
 
         loop = self.boundary_loop
         self.interior_idx = np.arange(self.n_interior)
@@ -90,6 +99,13 @@ class Mesh:
         self.vertex_weights = 0.5 * (el + np.roll(el, 1))
         n = self.boundary_normals + np.roll(self.boundary_normals, 1, axis=0)
         self.vertex_normals = n / np.linalg.norm(n, axis=1, keepdims=True)
+
+    def p1_gradient(self, ut: np.ndarray) -> np.ndarray:
+        """Triangle-constant gradient of the P1 field whose vertex values
+        are gathered as ``ut = values[tri_t]``, (3, T): the two rows
+        ``sum_i ut[i] hat_t[i]``, shape (2, T)."""
+        g = self.hat_t
+        return ut[0] * g[0] + ut[1] * g[1] + ut[2] * g[2]
 
 
 # dissection parts of at most this many interior vertices are not split
@@ -183,7 +199,9 @@ def _delaunay_mesh(points, boundary_count, h, diameter):
     perm = np.concatenate([_nested_dissection(points, simplices, first_b)[0], loop])
     number = np.empty(len(points), dtype=int)
     number[perm] = np.arange(len(points))
-    return Mesh(points[perm], number[simplices], np.arange(first_b, len(points)), h, diameter)
+    # a (T, 3) view of (3, T) rows, the layout the mesh stores, is not copied
+    tri_t = number[np.ascontiguousarray(simplices.T)]
+    return Mesh(points[perm], tri_t.T, np.arange(first_b, len(points)), h, diameter)
 
 
 def build_disk_mesh(radius: float, h: float) -> Mesh:

@@ -138,6 +138,10 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("tau_ladder must be positive")
     if not cfg.convergence_h or any(not 0 < h < cfg.radius for h in cfg.convergence_h):
         raise ConfigError("convergence_h: need 0 < h < radius for each h")
+    # the convergence stage fits an order through these sizes and h
+    if "convergence" in cfg.stages and len(set(cfg.convergence_h) | {cfg.h}) < 2:
+        raise ConfigError("convergence_h: the convergence stage needs a mesh size "
+                          "other than h")
     s_range = cfg.structural_s_range
     if len(s_range) != 2 or s_range[0] > s_range[1]:
         raise ConfigError("structural_s_range must be two values lo, hi with lo <= hi")
@@ -335,6 +339,7 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
     if stage("geometric"):
         t0 = time.perf_counter()
         ubar, gradu = _triangle_state(mesh, base.u)
+        gradu = gradu.T
         a, a_s, gp = evaluate_with_derivatives(cond, ubar, gradu)
         aij = linearized_matrix(a, gp, gradu)
         G, g, sigma = metric_from_linearized(aij)

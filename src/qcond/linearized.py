@@ -68,11 +68,9 @@ class LinearizedOperator:
 
     @classmethod
     def from_fields(cls, mesh: Mesh, M: np.ndarray, w: Optional[np.ndarray] = None) -> "LinearizedOperator":
-        """Operator with prescribed per-triangle coefficients (probing/tests),
-        factored exactly."""
-        M = np.broadcast_to(np.asarray(M, dtype=float), (len(mesh.triangles), 2, 2))
-        if w is not None:
-            w = np.broadcast_to(np.asarray(w, dtype=float), (len(mesh.triangles), 2))
+        """Operator with prescribed coefficients (probing/tests), factored
+        exactly: ``M`` and ``w`` as ``forward.assemble_linear`` takes them,
+        constant or one row per component."""
         return cls(mesh, assemble_linear(mesh, M, w))
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:

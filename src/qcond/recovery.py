@@ -339,6 +339,12 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
         raise ValueError("decay-regime grid needs an explicit r_max")
     if grid.r_max is not None and grid.r_max <= 0:
         raise ValueError("r_max must be positive")
+    # zero would divide by zero in admissible_taus or jet_radius, or
+    # collapse every chain's radii onto p = 0
+    for name, value in (("radius_fraction", grid.radius_fraction),
+                        ("nyquist_nodes", nyquist_nodes), ("big_n", big_n)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
     taus = admissible_taus(mesh, tau_ladder, nyquist_nodes)
     if len(taus) < 2:
         raise ValueError("mesh too coarse for the frequency ladder")

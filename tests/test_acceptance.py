@@ -202,7 +202,8 @@ def test_criterion_07_geometric_identity_layer():
     m = disk(0.05)
     th = boundary_angles(m)
     base = solve_dirichlet(pg, m, 0.5 * np.cos(2 * th))
-    aij = linearized_conductivity(pg, *_triangle_state(m, base.u))
+    ubar, gradu = _triangle_state(m, base.u)
+    aij = linearized_conductivity(pg, ubar, gradu.T)
     G, g, sigma = metric_from_linearized(aij)
     detG_err = float(np.abs(np.linalg.det(G) - 1.0).max())
     assert detG_err <= 1e-10

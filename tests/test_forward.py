@@ -3,19 +3,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scipy.sparse as sp
 
 from qcond.barriers import JetRequest, prescribe_jet
 from qcond import forward
-from qcond.conductivity import (ConductivityError, make_preset, preset_constant,
-                                preset_one_plus_s2, preset_p_gauss, preset_p_lorentz,
-                                rotate_conductivity)
+from qcond.conductivity import (ConductivityError, ConductivitySpec, evaluate_with_derivatives,
+                                make_preset, preset_constant, preset_one_plus_s2,
+                                preset_p_gauss, preset_p_lorentz, rotate_conductivity)
 from qcond.forward import (KRYLOV_MAX_ITER, SolveError, _gmres, _laplace_factor,
                            assemble_jacobian, assemble_linear, assemble_residual,
                            boundary_jet_of, coefficient_fields, dn_map, harmonic_extension,
                            load_vector, manufactured_solution, solve_dirichlet)
-from qcond.geometry import (Isometry, boundary_frame_at, build_disk_mesh, transform_mesh)
+from qcond.geometry import (Isometry, boundary_frame_at, build_disk_mesh, build_polygon_mesh,
+                            transform_mesh)
 
 C1 = preset_constant(1.0)
 PG = preset_p_gauss(0.25)
@@ -128,29 +130,103 @@ def test_newton_failure_reported():
     assert not sol.converged and sol.residual_norm > 0
 
 
-def test_scatter_assembly_matches_coo_reference():
-    m = build_disk_mesh(1.0, 0.1)
+def reference_state(m, u):
+    """_triangle_state by a (T, 3) gather and an einsum over (T, 3, 2)."""
+    ut = u[m.triangles]
+    return ut.mean(axis=1), np.einsum("ti,tik->tk", ut, m.hat_gradients)
+
+
+def reference_linear(m, M, w):
+    """assemble_linear by (T, 3, 3) element blocks and a COO sum, for
+    M of shape (T, 2, 2) and w of shape (T, 2)."""
     tri, g, area = m.triangles, m.hat_gradients, m.areas
-    M = np.broadcast_to(np.array([[1.3, 0.7], [0.1, 0.9]]), (len(tri), 2, 2))
-    w = np.random.default_rng(5).normal(size=(len(tri), 2))
     blocks = np.einsum("t,tik,tkl,tjl->tij", area, g, M, g)
     blocks += (area / 3.0)[:, None, None] * np.einsum("tk,tik->ti", w, g)[:, :, None]
     n = len(m.vertices)
-    ref = sp.csr_matrix((blocks.ravel(), (np.repeat(tri, 3, axis=1).ravel(),
-                                          np.tile(tri, (1, 3)).ravel())), shape=(n, n))
+    return sp.csr_matrix((blocks.ravel(), (np.repeat(tri, 3, axis=1).ravel(),
+                                           np.tile(tri, (1, 3)).ravel())), shape=(n, n))
+
+
+def reference_residual(m, a, grad):
+    """assemble_residual's rows from per-triangle a and (T, 2) grad u."""
+    r_loc = np.einsum("t,tk,tik->ti", m.areas, a[:, None] * grad, m.hat_gradients)
+    R = np.zeros(len(m.vertices))
+    np.add.at(R, m.triangles.ravel(), r_loc.ravel())
+    return R
+
+
+def test_scatter_assembly_matches_coo_reference():
+    m = build_disk_mesh(1.0, 0.1)
+    T = len(m.triangles)
+    M = np.array([[1.3, 0.7], [0.1, 0.9]])
+    w = np.random.default_rng(5).normal(size=(2, T))
+    ref = reference_linear(m, np.broadcast_to(M, (T, 2, 2)), w.T)
     A = assemble_linear(m, M, w)
     assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
 
     u = 0.3 * np.sin(3.0 * m.vertices[:, 0]) + m.vertices[:, 1] ** 2
     _, source = manufactured_solution(PG)
     a, grad, _, _ = coefficient_fields(PG, m, u)
-    r_loc = np.einsum("t,tk,tik->ti", area, a[:, None] * grad, g)
-    R_ref = np.zeros(n)
-    np.add.at(R_ref, tri.ravel(), r_loc.ravel())
+    R_ref = reference_residual(m, a, grad.T)
     R, _ = assemble_residual(PG, m, u)
     assert np.abs(R - R_ref).max() <= 1e-13 * np.abs(R_ref).max()
     R_src, _ = assemble_residual(PG, m, u, source)
     assert np.abs(R_src - R - load_vector(m, source)).max() <= 1e-13 * np.abs(R_src).max()
+
+
+KERNEL_MESHES = {"disk 0.2": lambda: build_disk_mesh(1.0, 0.2),
+                 "disk 0.1": lambda: build_disk_mesh(1.0, 0.1),
+                 "hexagon 0.15": lambda: build_polygon_mesh(6, 1.0, 0.15)}
+
+
+@pytest.fixture(scope="module")
+def kernel_meshes():
+    return {name: build() for name, build in KERNEL_MESHES.items()}
+
+
+def relative_gap(x, ref):
+    return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
+# grad_p a is never parallel to p, so a I + p (x) grad_p a is not symmetric
+SKEW = ConductivitySpec(
+    name="skew",
+    fn=lambda s, p: 2.0 + 0.1 * np.sin(s) + 0.3 * np.tanh(p[..., 0] + 2.0 * p[..., 1]),
+    grad=lambda s, p: (0.1 * np.cos(s), (0.3 / np.cosh(p[..., 0] + 2.0 * p[..., 1]) ** 2)[..., None]
+                       * np.array([1.0, 2.0])))
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(sorted(KERNEL_MESHES)), seed=st.integers(0, 2**32 - 1),
+       drift=st.booleans())
+def test_p1_kernels_match_references(kernel_meshes, name, seed, drift):
+    # M is non-symmetric and different on every triangle, so a kernel that
+    # pairs one triangle's hat rows with another's coefficients is caught
+    m = kernel_meshes[name]
+    T = len(m.triangles)
+    rng = np.random.default_rng(seed)
+    u = 0.05 * rng.normal(size=len(m.vertices))
+    M = rng.normal(size=(2, 2, T)) + 2.0 * np.eye(2)[:, :, None]
+    w = rng.normal(size=(2, T)) if drift else None
+
+    ubar, grad = forward._triangle_state(m, u)
+    ubar_ref, grad_ref = reference_state(m, u)
+    assert grad.shape == (2, T)
+    assert relative_gap(ubar, ubar_ref) <= 1e-13 and relative_gap(grad.T, grad_ref) <= 1e-13
+
+    ref = reference_linear(m, M.transpose(2, 0, 1), np.zeros((T, 2)) if w is None else w.T)
+    A = assemble_linear(m, M, w)
+    assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
+
+    a, a_s, gp = evaluate_with_derivatives(SKEW, ubar_ref, grad_ref)
+    R, _ = assemble_residual(SKEW, m, u)
+    assert relative_gap(R, reference_residual(m, a, grad_ref)) <= 1e-13
+    M_ref = a[:, None, None] * np.eye(2) + grad_ref[:, :, None] * gp[:, None, :]
+    J_ref = reference_linear(m, M_ref, a_s[:, None] * grad_ref)
+    assert abs(assemble_jacobian(SKEW, m, u) - J_ref).max() <= 1e-13 * abs(J_ref).max()
+    # the kernels read the mesh's row storage; the (T, ...) attributes are views of it
+    assert np.shares_memory(m.hat_gradients, m.hat_t) and m.hat_t.flags.c_contiguous
+    assert np.shares_memory(m.triangles, m.tri_t) and m.tri_t.flags.c_contiguous
 
 
 @pytest.mark.parametrize("expr", ["decay_mix(0.2,0.05,0.1)", "p_lorentz(0.2)"])
@@ -159,11 +235,8 @@ def test_residual_evaluates_values_only(expr):
     cond = make_preset(expr)
     u = 0.3 * np.sin(3.0 * m.vertices[:, 0]) + m.vertices[:, 1] ** 2
     a, grad, _, _ = coefficient_fields(cond, m, u)
-    flux = a[:, None] * grad
-    r_loc = np.einsum("t,tk,tik->ti", m.areas, flux, m.hat_gradients)
-    R_ref = np.zeros(len(m.vertices))
-    np.add.at(R_ref, m.triangles.ravel(), r_loc.ravel())
-    scale_ref = np.sqrt(np.sum(m.areas * np.sum(flux * flux, axis=1)))
+    R_ref = reference_residual(m, a, grad.T)
+    scale_ref = np.sqrt(np.sum(m.areas * a * a * np.sum(grad * grad, axis=0)))
     # derivatives that are NaN everywhere must not reach the residual
     R, scale = assemble_residual(replace(cond, grad=lambda s, p: (np.nan, np.nan)), m, u)
     assert np.abs(R - R_ref).max() <= 1e-14 * np.abs(R_ref).max()

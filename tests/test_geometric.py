@@ -125,6 +125,7 @@ def test_det_G_normalized_on_solution_fields():
     th = np.arctan2(m.vertices[m.boundary_loop, 1], m.vertices[m.boundary_loop, 0])
     sol = solve_dirichlet(pg, m, 0.5 * np.cos(2 * th))
     ubar, gradu = _triangle_state(m, sol.u)
+    gradu = gradu.T
     aij = linearized_conductivity(pg, ubar, gradu)
     G, g, sigma = metric_from_linearized(aij)
     assert np.abs(np.linalg.det(G) - 1.0).max() < 1e-10

@@ -38,8 +38,8 @@ def test_mesh_geometry_is_computed_at_construction():
     # every geometric array is a plain attribute, set when the mesh is
     # built; the cache is left to what the solvers build lazily
     m = build_disk_mesh(1.0, 0.2)
-    names = ("areas", "hat_gradients", "centroids", "interior_idx", "edge_lengths",
-             "perimeter", "arclength", "vertex_weights", "vertex_normals")
+    names = ("tri_t", "areas", "hat_t", "hat_gradients", "centroids", "interior_idx",
+             "edge_lengths", "perimeter", "arclength", "vertex_weights", "vertex_normals")
     assert set(names) <= set(vars(m))
     for name in names:
         getattr(m, name)

@@ -7,7 +7,7 @@ import pytest
 from qcond.conductivity import preset_p_gauss
 from qcond.geometry import build_disk_mesh
 from qcond.harness import (ConfigError, RunConfig, load_config, parse_config, run,
-                           run_jet_batch, write_csv)
+                           run_jet_batch, validate_config, write_csv)
 from qcond.recovery import RecoveryGrid, RecoverySample
 
 
@@ -90,6 +90,11 @@ def test_validation_errors():
         parse_config("n_directions = 0")
     with pytest.raises(ConfigError, match="jobs must be at least 1"):
         parse_config("jobs = 0")
+    # a convergence order needs two distinct mesh sizes
+    one_size = RunConfig(h=0.1, convergence_h=(0.1,), stages=("convergence",))
+    with pytest.raises(ConfigError, match="needs a mesh size other than h"):
+        validate_config(one_size)
+    validate_config(dataclasses.replace(one_size, stages=("mesh",)))
     for fields, cause in MID_RUN_FAILURES:
         with pytest.raises(ConfigError, match=cause):
             parse_config(config_text(fields))

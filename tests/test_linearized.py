@@ -140,7 +140,7 @@ def test_preconditioned_miss_factors_once():
     # its own block once, and from then on solves directly
     m = build_disk_mesh(1.0, 0.05)
     aniso = np.diag([1.0, 10.0])
-    J = assemble_linear(m, np.broadcast_to(aniso, (len(m.triangles), 2, 2)))
+    J = assemble_linear(m, aniso)
     op = LinearizedOperator(m, J, krylov=True)
     exact = LinearizedOperator.from_fields(m, aniso)
     H = probe_block(m)

@@ -299,15 +299,23 @@ def test_reconstruct_rejects_fewer_than_two_admissible_frequencies():
     # the small regime's radii come from radius_fraction and pi(s)
     (PolarGrid(n_directions=1, n_radii=2, r_max=1.0), "small",
      "^r_max applies to the decay regime only"),
+    (PolarGrid(n_directions=1, n_radii=2, radius_fraction=0.0), "small",
+     "^radius_fraction must be positive$"),
+    # a (grid, keyword arguments) pair passes the arguments to reconstruct
+    ((PolarGrid(n_directions=1, n_radii=2), {"nyquist_nodes": 0}), "small",
+     "^nyquist_nodes must be positive$"),
+    ((PolarGrid(n_directions=1, n_radii=2, r_max=1.0), {"big_n": 0.0}), "decay",
+     "^big_n must be positive$"),
 ])
 def test_reconstruct_rejects_bad_requests_before_any_solve(grid, regime, cause):
     # the mesh's solver state is never built
     from qcond.conductivity import preset_decay_mix
     from qcond.recovery import reconstruct
+    grid, options = grid if isinstance(grid, tuple) else (grid, {})
     mesh = build_disk_mesh(1.0, 0.1)
     with pytest.raises(ValueError, match=cause):
         reconstruct(preset_decay_mix(0.2, 0.05, 0.1), mesh, (0.0,), grid, regime=regime,
-                    tau_ladder=(2.0, 4.0))
+                    tau_ladder=(2.0, 4.0), **options)
     assert mesh._cache == {}
 
 
