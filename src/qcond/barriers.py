@@ -143,6 +143,12 @@ def c2_surrogate_norm(mesh: Mesh, f_values: np.ndarray, s: float) -> float:
 REGIMES = ("small", "decay")
 
 
+def check_regime(regime: str):
+    """Raise ValueError unless ``regime`` is one of REGIMES."""
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {', '.join(REGIMES)}, got {regime!r}")
+
+
 @dataclass(frozen=True)
 class JetRequest:
     """Target boundary jet at a frame, in original coordinates."""
@@ -152,15 +158,12 @@ class JetRequest:
     regime: str = "small"
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {', '.join(REGIMES)}, "
-                             f"got {self.regime!r}")
+        check_regime(self.regime)
 
 
 @dataclass
 class JetResult:
-    f: np.ndarray                  # boundary data over boundary_loop
-    sol: object                    # DiscreteSolution
+    sol: object                    # DiscreteSolution; its data is sol.f
     achieved_s: float
     achieved_p: np.ndarray
     t_star: float
@@ -172,7 +175,6 @@ class JetResult:
 
 def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
                   pi1: float = 1.0, big_n: float = 10.0, max_solves: int = 40,
-                  newton_tol: float = 1e-10,
                   t_hint: Optional[float] = None,
                   warm_start: Optional[DiscreteSolution] = None) -> JetResult:
     """Construct boundary data whose solution attains the requested jet.
@@ -226,25 +228,25 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
         if t in cache:
             return cache[t]
         f_t = barrier(t).value(yb)
-        sol = solve_dirichlet(cond, mesh, f_t, tol=newton_tol, warm_start=prev)
+        sol = solve_dirichlet(cond, mesh, f_t, warm_start=prev)
         solves += 1
         prev = sol
         s_a, p_a = boundary_jet_of(sol, frame)
-        cache[t] = (float(-frame.nu @ p_a), sol, f_t, s_a, p_a)
+        cache[t] = (float(-frame.nu @ p_a), sol, s_a, p_a)
         return cache[t]
 
     def err_of(t: float) -> float:
-        _, _, _, s_a, p_a = cache[t]
+        _, _, s_a, p_a = cache[t]
         return abs(s_a - request.s) + float(np.linalg.norm(p_a - p))
 
     def finish(t):
-        pn_a, sol, f_t, s_a, p_a = cache[t]
+        _, sol, s_a, p_a = cache[t]
         err = err_of(t)
         ok = err <= tol
-        return JetResult(f=f_t, sol=sol, achieved_s=s_a, achieved_p=p_a,
+        return JetResult(sol=sol, achieved_s=s_a, achieved_p=p_a,
                          t_star=t, solves=solves, ok=ok,
                          message="" if ok else f"jet error {err:.3e} > tol {tol:.3e}",
-                         smallness=c2_surrogate_norm(mesh, f_t, request.s))
+                         smallness=c2_surrogate_norm(mesh, sol.f, request.s))
 
     t0 = float(np.clip(t_hint if t_hint is not None else p_n, -bracket, bracket))
     phi0 = achieved(t0)[0] - p_n

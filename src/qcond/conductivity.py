@@ -287,6 +287,9 @@ def jet_radius(cond: ConductivitySpec, s: float, domain_diam: float,
     B1 = min(C1, pi1/(N diam)), B2 = C2.  The linearization-smallness
     scale pi1 and the margin factor N are calibration inputs; runtime
     solvability is checked per solve, not assumed from them.
+    ``reconstruct`` takes the defaults pi1 = 1, N = 10; a large pi1
+    (such as 1e6) drops the pi1 term and leaves the full paraboloid
+    B1 = C1, as the barrier checks use.
 
     A model carrying a decay constant admits arbitrary jets, reported as
     pi = +inf.

@@ -22,7 +22,7 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .barriers import REGIMES, JetRequest, prescribe_jet
+from .barriers import JetRequest, prescribe_jet
 from .conductivity import (ConductivitySpec, check_structural_conditions,
                            evaluate_with_derivatives, linearized_matrix, make_preset)
 from .forward import (_triangle_state, assemble_jacobian, manufactured_solution,
@@ -31,7 +31,7 @@ from .geometric import (alpha_antisymmetry_residual, metric_from_linearized,
                         normal_identity_residual, operator_equivalence_residual)
 from .geometry import Mesh, boundary_frame_at, build_disk_mesh
 from .linearized import LinearizedOperator, fd_derivative_check
-from .recovery import DEFAULT_LADDER, PolarGrid, RecoveryGrid, reconstruct
+from .recovery import DEFAULT_LADDER, PolarGrid, RecoveryGrid, check_request, reconstruct
 
 
 class ConfigError(ValueError):
@@ -50,11 +50,6 @@ class RunConfig:
     radius_fraction: float = 0.8
     r_max: Optional[float] = None
     tau_ladder: tuple[float, ...] = DEFAULT_LADDER
-    width_factor: float = 1.0
-    nyquist_nodes: int = 10
-    newton_tol: float = 1e-10
-    pi1: float = 1.0
-    big_n: float = 10.0
     structural_s_range: tuple[float, ...] = (-2.0, 2.0)
     structural_p_max: float = 2.0
     convergence_h: tuple[float, ...] = (0.1, 0.05)
@@ -108,32 +103,29 @@ def load_config(path) -> RunConfig:
     return parse_config(Path(path).read_text())
 
 
+def _polar_grid(cfg: RunConfig) -> PolarGrid:
+    return PolarGrid(n_directions=cfg.n_directions, n_radii=cfg.n_radii,
+                     radius_fraction=cfg.radius_fraction, r_max=cfg.r_max)
+
+
 def validate_config(cfg: RunConfig):
+    """Raise ConfigError on a config a run would reject or ignore.
+
+    The reconstruction inputs are checked by recovery.check_request
+    whatever the stages, so one config file is valid for every stage.
+    """
     if cfg.h <= 0 or cfg.radius <= 0 or cfg.h >= cfg.radius:
         raise ConfigError("mesh: need 0 < h < radius")
-    if not cfg.s_values:
-        raise ConfigError("s_values must be non-empty")
-    if cfg.regime not in REGIMES:
-        raise ConfigError(f"regime must be one of {', '.join(REGIMES)}, got {cfg.regime!r}")
+    try:
+        check_request(cfg.s_values, _polar_grid(cfg), cfg.regime, cfg.jobs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     unknown = [s for s in cfg.stages if s not in RunConfig.stages]
     if unknown:
         raise ConfigError(f"unknown stages {', '.join(unknown)}; "
                           f"valid stages: {', '.join(RunConfig.stages)}")
-    for name, least in (("n_radii", 2), ("n_directions", 1), ("jobs", 1),
-                        ("nyquist_nodes", 1)):
-        if getattr(cfg, name) < least:
-            raise ConfigError(f"{name} must be at least {least}")
-    if cfg.regime == "decay" and "reconstruction" in cfg.stages and cfg.r_max is None:
-        raise ConfigError("decay regime needs r_max")
-    if cfg.regime == "small" and cfg.r_max is not None:
-        raise ConfigError("r_max applies to the decay regime only; "
-                          "the small regime takes radius_fraction")
-    # radius_fraction may exceed 1: radii beyond pi(s) fail per sample
-    for name in ("newton_tol", "width_factor", "pi1", "big_n", "radius_fraction",
-                 "structural_p_max", "r_max"):
-        v = getattr(cfg, name)
-        if v is not None and v <= 0:
-            raise ConfigError(f"{name} must be positive")
+    if cfg.structural_p_max <= 0:
+        raise ConfigError("structural_p_max must be positive")
     if not cfg.tau_ladder or any(t <= 0 for t in cfg.tau_ladder):
         raise ConfigError("tau_ladder must be positive")
     if not cfg.convergence_h or any(not 0 < h < cfg.radius for h in cfg.convergence_h):
@@ -208,8 +200,7 @@ def recovery_rows(grid: RecoveryGrid):
                smp.status.replace(",", ";"))
 
 
-def run_jet_batch(cond: ConductivitySpec, mesh: Mesh, path, *, pi1=1.0, big_n=10.0,
-                  newton_tol=1e-10):
+def run_jet_batch(cond: ConductivitySpec, mesh: Mesh, path):
     """Execute a `jet theta s p1 p2 regime` batch file; returns result rows."""
     rows = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -222,14 +213,13 @@ def run_jet_batch(cond: ConductivitySpec, mesh: Mesh, path, *, pi1=1.0, big_n=10
                               f"'jet theta s p1 p2 regime', got {raw!r}")
         theta, s, p1, p2 = map(float, parts[1:5])
         regime = parts[5]
-        if regime not in REGIMES:
-            raise ConfigError(f"jet batch line {lineno}: regime must be one of "
-                              f"{', '.join(REGIMES)}, got {regime!r}")
         frame = boundary_frame_at(mesh, theta)
-        req = JetRequest(frame=frame, s=s, p=np.array([p1, p2]), regime=regime)
         try:
-            res = prescribe_jet(cond, mesh, req, pi1=pi1, big_n=big_n,
-                                newton_tol=newton_tol)
+            req = JetRequest(frame=frame, s=s, p=np.array([p1, p2]), regime=regime)
+        except ValueError as exc:
+            raise ConfigError(f"jet batch line {lineno}: {exc}") from None
+        try:
+            res = prescribe_jet(cond, mesh, req)
             rows.append((theta, s, p1, p2, regime, res.achieved_s,
                          float(res.achieved_p[0]), float(res.achieved_p[1]),
                          res.solves, "ok" if res.ok else res.message.replace(",", ";")))
@@ -303,7 +293,7 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
         errs = []
         for h in hs:
             mm = mesh if abs(h - cfg.h) < 1e-15 else build_disk_mesh(cfg.radius, h)
-            sol = solve_dirichlet(cond, mm, ustar, source=source, tol=cfg.newton_tol)
+            sol = solve_dirichlet(cond, mm, ustar, source=source)
             errs.append(float(np.abs(sol.u - ustar(mm.vertices)).max()))
         order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
         rows = [(h, e, order) for h, e in zip(hs, errs)]
@@ -318,13 +308,13 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
     # (untimed) for both
     if stage("linearization") or stage("geometric"):
         fb = float(cfg.s_values[0]) + 0.2 * mesh.vertices[mesh.boundary_loop, 0]
-        base = solve_dirichlet(cond, mesh, fb, tol=cfg.newton_tol)
+        base = solve_dirichlet(cond, mesh, fb)
     if stage("linearization"):
         t0 = time.perf_counter()
         hb = np.cos(2.0 * np.arctan2(mesh.vertices[mesh.boundary_loop, 1],
                                      mesh.vertices[mesh.boundary_loop, 0]))
         op = LinearizedOperator.at_base(cond, base)
-        table = fd_derivative_check(base, op, hb, (1e-1, 1e-2, 1e-3), tol=cfg.newton_tol)
+        table = fd_derivative_check(base, op, hb, (1e-1, 1e-2, 1e-3))
         gap = op.J - assemble_jacobian(cond, mesh, base.u)
         jac_gap = float(np.abs(gap.data).max()) if gap.nnz else 0.0
         total_flux = float(op.dn_flux(hb).sum())
@@ -361,8 +351,7 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
     # -- jet batch ----------------------------------------------------------
     if cfg.jet_batch:
         t0 = time.perf_counter()
-        rows = run_jet_batch(cond, mesh, cfg.jet_batch, pi1=cfg.pi1, big_n=cfg.big_n,
-                             newton_tol=cfg.newton_tol)
+        rows = run_jet_batch(cond, mesh, cfg.jet_batch)
         write_csv(out / "jets.csv",
                   ("theta", "s", "p1", "p2", "regime", "achieved_s",
                    "achieved_p1", "achieved_p2", "solves", "status"), rows)
@@ -372,13 +361,8 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
     # -- reconstruction -----------------------------------------------------
     if stage("reconstruction"):
         t0 = time.perf_counter()
-        grid = reconstruct(cond, mesh, cfg.s_values,
-                           PolarGrid(n_directions=cfg.n_directions, n_radii=cfg.n_radii,
-                                     radius_fraction=cfg.radius_fraction, r_max=cfg.r_max),
-                           regime=cfg.regime, tau_ladder=cfg.tau_ladder,
-                           width_factor=cfg.width_factor, nyquist_nodes=cfg.nyquist_nodes,
-                           pi1=cfg.pi1, big_n=cfg.big_n, newton_tol=cfg.newton_tol,
-                           jobs=cfg.jobs)
+        grid = reconstruct(cond, mesh, cfg.s_values, _polar_grid(cfg), regime=cfg.regime,
+                           tau_ladder=cfg.tau_ladder, jobs=cfg.jobs)
         stats = grid.error_stats()
         report.recovery_stats = stats
         details = "\n".join(f"{k} = {v}" for k, v in stats.items())

@@ -99,8 +99,7 @@ class LinearizedOperator:
         return self.flux_coeffs(self.solve(h))
 
 
-def fd_derivative_check(base: DiscreteSolution, op: LinearizedOperator, h, t_list,
-                        tol: float = 1e-10):
+def fd_derivative_check(base: DiscreteSolution, op: LinearizedOperator, h, t_list):
     """Compare the linearized solution at a converged base, ``op`` being
     its operator, against difference quotients of the forward solver.
 
@@ -111,8 +110,7 @@ def fd_derivative_check(base: DiscreteSolution, op: LinearizedOperator, h, t_lis
     v = op.solve(hb)
     rows = []
     for t in t_list:
-        pert = solve_dirichlet(base.cond, base.mesh, base.f + t * hb, tol=tol,
-                               warm_start=base)
+        pert = solve_dirichlet(base.cond, base.mesh, base.f + t * hb, warm_start=base)
         quot = (pert.u - base.u) / t
         rows.append((float(t), float(np.abs(quot - v).max())))
     return rows

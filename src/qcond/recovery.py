@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barriers import REGIMES, JetRequest, prescribe_jet
+from .barriers import JetRequest, check_regime, prescribe_jet
 from .conductivity import ConductivitySpec, _smoothstep, jet_radius
 from .forward import SolveError, _laplace_factor, solve_dirichlet
 from .geometry import BoundaryFrame, Mesh, boundary_frame_at
@@ -29,27 +29,30 @@ DEFAULT_LADDER = (8.0, 16.0, 32.0, 64.0)
 # with only two admissible frequencies the linear fit is exact, so the
 # gate cannot fire (see extract_symbol)
 FIT_THRESHOLD = 0.05
+# a resolvable probe frequency has at least this many boundary nodes
+# per wavelength
+NYQUIST_NODES = 10
 
 
 # ---------------------------------------------------------------------------
 # oscillatory probing
 # ---------------------------------------------------------------------------
 
-def probe_width(tau: float, width_factor: float = 1.0) -> float:
-    """Default window half-width (arclength): width_factor / sqrt(tau).
+def probe_width(tau: float) -> float:
+    """Window half-width (arclength) of a probe at frequency tau: 1/sqrt(tau).
 
     The square-root scaling keeps coefficient/curvature variation across
     the window at a tau-independent size (absorbed by the fit intercept)
     while the spectral spread of the window shrinks relative to tau.
     """
-    return width_factor / math.sqrt(tau)
+    return 1.0 / math.sqrt(tau)
 
 
-def admissible_taus(mesh: Mesh, ladder: Sequence[float],
-                    nyquist_nodes: int = 10) -> list:
-    """Frequencies resolvable by the boundary mesh (nodes per wavelength)."""
+def admissible_taus(mesh: Mesh, ladder: Sequence[float]) -> list:
+    """The ladder frequencies whose wavelength spans at least
+    NYQUIST_NODES boundary nodes of the mesh."""
     spacing = mesh.perimeter / len(mesh.boundary_loop)
-    cap = 2.0 * math.pi / (nyquist_nodes * spacing)
+    cap = 2.0 * math.pi / (NYQUIST_NODES * spacing)
     return [t for t in ladder if t <= cap]
 
 
@@ -64,8 +67,7 @@ def oscillatory_probe(mesh: Mesh, frame: BoundaryFrame, tau: float,
     """
     if tau < 0:
         raise ValueError("oscillatory_probe: tau must be nonnegative")
-    caps = admissible_taus(mesh, [tau]) if tau > 0 else [tau]
-    if not caps:
+    if tau > 0 and not admissible_taus(mesh, [tau]):
         raise ValueError(f"probe frequency {tau:g} above the mesh Nyquist limit")
     W = width if width is not None else probe_width(max(tau, 1.0))
     arc = mesh.arclength - mesh.arclength[frame.loop_pos]
@@ -101,18 +103,18 @@ class SymbolEstimate:
 
 
 def extract_symbol(dn_eval: Callable, mesh: Mesh, frame: BoundaryFrame,
-                   tau_list: Sequence[float], jet=(0.0, np.zeros(2)),
-                   width_factor: float = 1.0) -> SymbolEstimate:
+                   tau_list: Sequence[float], jet=(0.0, np.zeros(2))) -> SymbolEstimate:
     """Measure the first-order symbol of a linearized flux evaluator.
 
     ``dn_eval`` maps an (n_boundary, K) block of complex boundary data
     (loop order) to the block of their variational flux pairings, and
     must commute with conjugation (a real operator).  It is called once,
     on the probes of all K frequencies, one column each in increasing
-    order; the opposite orientation's probes and pairings are their
-    conjugates.  The even combination of the two carries the metric
-    part, the odd one the antisymmetric part, and zeroth-order terms
-    (drift and curvature) land in the fit intercepts.
+    order, each windowed to probe_width(tau); the opposite orientation's
+    probes and pairings are their conjugates.  The even combination of
+    the two carries the metric part, the odd one the antisymmetric part,
+    and zeroth-order terms (drift and curvature) land in the fit
+    intercepts.
 
     With three or more frequencies the fit carries an extra tau^3 term:
     the variational pairing of a discrete solve is superconvergent
@@ -129,7 +131,7 @@ def extract_symbol(dn_eval: Callable, mesh: Mesh, frame: BoundaryFrame,
         raise ValueError("extract_symbol: need at least two admissible frequencies")
     if taus[-1] < 2.0 * taus[0]:
         raise ValueError("extract_symbol: frequency ladder spans less than one octave")
-    hs, nsqs = zip(*(oscillatory_probe(mesh, frame, tau, probe_width(tau, width_factor))
+    hs, nsqs = zip(*(oscillatory_probe(mesh, frame, tau, probe_width(tau))
                      for tau in taus))
     H = np.stack(hs, axis=1)
     P_plus = np.sum(dn_eval(H) * np.conj(H), axis=0) / np.array(nsqs)
@@ -313,12 +315,35 @@ class RecoveryGrid:
                 "median_rel_err": float(np.median(errs)) if len(errs) else math.nan}
 
 
+def check_request(s_grid, grid: PolarGrid, regime: str, jobs: int):
+    """Raise ValueError unless a reconstruction can run on these inputs.
+
+    These are all the rules on a request that need no mesh: reconstruct
+    checks its arguments, and the harness every config, through here.
+    """
+    check_regime(regime)
+    if not len(s_grid):
+        raise ValueError("s_values must be non-empty")
+    if grid.n_radii < 2:
+        raise ValueError("the radial inversion needs n_radii >= 2 (at least 3 nodes)")
+    for name, value in (("n_directions", grid.n_directions), ("jobs", jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
+    if regime == "small" and grid.r_max is not None:
+        raise ValueError("r_max applies to the decay regime only; "
+                         "the small regime takes radius_fraction")
+    if regime == "decay" and grid.r_max is None:
+        raise ValueError("decay-regime grid needs an explicit r_max")
+    # zero would collapse every chain's radii onto p = 0; radius_fraction
+    # may exceed 1, and radii beyond pi(s) then fail per sample
+    for name, value in (("r_max", grid.r_max), ("radius_fraction", grid.radius_fraction)):
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be positive")
+
+
 def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
                 regime: str = "small", tau_ladder: Sequence[float] = DEFAULT_LADDER,
-                width_factor: float = 1.0, nyquist_nodes: int = 10,
-                pi1: float = 1.0, big_n: float = 10.0,
-                newton_tol: float = 1e-10, jobs: int = 1,
-                progress: Optional[Callable] = None) -> RecoveryGrid:
+                jobs: int = 1, progress: Optional[Callable] = None) -> RecoveryGrid:
     """Reconstruct a(s, p) over a polar gradient grid from boundary data.
 
     For each state value and direction the pipeline prescribes boundary
@@ -327,31 +352,16 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
     the radial identity.  Per-sample failures are recorded and skipped.
     Every sample is scored against ``cond`` itself (``a_true``,
     ``rel_err``): a run reconstructs a known model, there is no blind mode.
+    The jet radius pi(s) is jet_radius's at its defaults pi1 = 1, N = 10.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {', '.join(REGIMES)}, got {regime!r}")
-    if grid.n_radii < 2:
-        raise ValueError("the radial inversion needs n_radii >= 2 (at least 3 nodes)")
-    if regime == "small" and grid.r_max is not None:
-        raise ValueError("r_max applies to the decay regime only; "
-                         "the small regime takes radius_fraction")
-    if regime == "decay" and grid.r_max is None:
-        raise ValueError("decay-regime grid needs an explicit r_max")
-    if grid.r_max is not None and grid.r_max <= 0:
-        raise ValueError("r_max must be positive")
-    # zero would divide by zero in admissible_taus or jet_radius, or
-    # collapse every chain's radii onto p = 0
-    for name, value in (("radius_fraction", grid.radius_fraction),
-                        ("nyquist_nodes", nyquist_nodes), ("big_n", big_n)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive")
-    taus = admissible_taus(mesh, tau_ladder, nyquist_nodes)
+    check_request(s_grid, grid, regime, jobs)
+    taus = admissible_taus(mesh, tau_ladder)
     if len(taus) < 2:
         raise ValueError("mesh too coarse for the frequency ladder")
     thetas = 2.0 * math.pi * np.arange(grid.n_directions) / grid.n_directions
     tasks = [(float(s), float(th)) for s in s_grid for th in thetas]
 
-    pi_profile = {float(s): jet_radius(cond, float(s), mesh.diameter, pi1, big_n).pi
+    pi_profile = {float(s): jet_radius(cond, float(s), mesh.diameter).pi
                   for s in s_grid}
 
     def run_chain(task):
@@ -367,8 +377,7 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
         for k, qv in enumerate(q_grid):
             try:
                 if qv == 0.0:
-                    base = solve_dirichlet(cond, mesh, np.full(len(mesh.boundary_loop), s),
-                                           tol=newton_tol)
+                    base = solve_dirichlet(cond, mesh, np.full(len(mesh.boundary_loop), s))
                     jet = (s, np.zeros(2))
                 else:
                     t_hint = None
@@ -377,9 +386,7 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
                     elif t_hist:
                         t_hint = t_hist[-1]
                     req = JetRequest(frame=frame, s=s, p=qv * frame.tau, regime=regime)
-                    res = prescribe_jet(cond, mesh, req, pi1=pi1, big_n=big_n,
-                                        newton_tol=newton_tol, t_hint=t_hint, warm_start=prev)
-
+                    res = prescribe_jet(cond, mesh, req, t_hint=t_hint, warm_start=prev)
                     if not res.ok:
                         status[k] = f"jet: {res.message}"
                         continue
@@ -389,8 +396,7 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
                 prev = base
                 # solved by GMRES on the mesh's Laplace LU
                 op = LinearizedOperator.at_base(cond, base)
-                sym = extract_symbol(op.dn_flux, mesh, frame, taus, jet=jet,
-                                     width_factor=width_factor)
+                sym = extract_symbol(op.dn_flux, mesh, frame, taus, jet=jet)
                 symrows.append((s, theta, float(qv), sym.real_slope, sym.imag_slope,
                                 sym.fit_residual, sym.parity_residual))
                 if not sym.reliable:

@@ -262,7 +262,7 @@ def _neighbour_jets(cond, s):
     m = build_disk_mesh(1.0, 0.05)
     fr = boundary_frame_at(m, 0.0)
     base = prescribe_jet(cond, m, JetRequest(frame=fr, s=s, p=0.03 * fr.tau)).sol
-    f = prescribe_jet(cond, m, JetRequest(frame=fr, s=s, p=0.035 * fr.tau)).f
+    f = prescribe_jet(cond, m, JetRequest(frame=fr, s=s, p=0.035 * fr.tau)).sol.f
     return m, base, f
 
 

@@ -1,5 +1,6 @@
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,16 +49,28 @@ def test_parse_errors_carry_line_and_key():
         parse_config("h = abc")
 
 
-def test_parse_rejects_fit_threshold():
-    # the symbol fit gate is fixed in extract_symbol; no key can move it
-    with pytest.raises(ConfigError, match="line 1: unknown key 'fit_threshold'"):
-        parse_config("fit_threshold = 0.05")
+# retired keys: the symbol fit gate is fixed in extract_symbol, the probe
+# window and Nyquist cap in recovery, the Newton tolerance is
+# solve_dirichlet's default and reconstruct's jet radius takes
+# jet_radius's default pi1 and N
+@pytest.mark.parametrize("key", ["fit_threshold", "width_factor", "nyquist_nodes",
+                                 "newton_tol", "pi1", "big_n"])
+def test_parse_rejects_retired_keys(key):
+    with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'$"):
+        parse_config(f"{key} = 1")
+
+
+def test_readme_example_config_parses():
+    # a retired or misspelt key in the documented config fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b for b in readme.split("```")[1::2] if b.lstrip().startswith("conductivity =")]
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0])
+    assert cfg.conductivity == "p_gauss(0.25)" and cfg.stages == RunConfig.stages
 
 
 # values that would crash mid-run, or be ignored, if they were accepted
 MID_RUN_FAILURES = (
-    (dict(nyquist_nodes=0), "nyquist_nodes must be at least 1"),
-    (dict(big_n=0.0), "big_n must be positive"),
     (dict(radius_fraction=-0.5), "radius_fraction must be positive"),
     (dict(radius_fraction=0.0), "radius_fraction must be positive"),
     (dict(regime="decay", r_max=-1.0), "r_max must be positive"),
@@ -74,8 +87,10 @@ def test_validation_errors():
     with pytest.raises(ConfigError, match="^regime must be one of small, decay, "
                                           "got 'sideways'$"):
         parse_config("regime = sideways")
-    with pytest.raises(ConfigError, match="r_max"):
-        parse_config("regime = decay")
+    # the reconstruction inputs are checked whatever the stages
+    for text in ("regime = decay", "regime = decay\nstages = mesh"):
+        with pytest.raises(ConfigError, match="^decay-regime grid needs an explicit r_max$"):
+            parse_config(text)
     with pytest.raises(ConfigError, match="s_values"):
         parse_config("s_values = ")
     # a misspelt stage would run nothing and report success
@@ -84,7 +99,7 @@ def test_validation_errors():
                                           "geometric, reconstruction"):
         parse_config("stages = mesh, reconstuction")
     # the Simpson identity needs at least 3 radial nodes
-    with pytest.raises(ConfigError, match="n_radii must be at least 2"):
+    with pytest.raises(ConfigError, match="n_radii >= 2"):
         parse_config("n_radii = 1")
     with pytest.raises(ConfigError, match="n_directions must be at least 1"):
         parse_config("n_directions = 0")
@@ -117,8 +132,7 @@ def test_every_field_round_trips_through_parse_config():
     # type, written out, reads back with the same repr
     values = dict(conductivity="p_lorentz(0.3)", regime="decay", radius=2.0, h=0.1,
                   s_values=(0.5, -0.5), n_directions=3, n_radii=5, radius_fraction=0.5,
-                  r_max=3.0, tau_ladder=(4.0, 8.0), width_factor=2.0, nyquist_nodes=12,
-                  newton_tol=1e-9, pi1=2.0, big_n=5.0, structural_s_range=(-1.0, 1.0),
+                  r_max=3.0, tau_ladder=(4.0, 8.0), structural_s_range=(-1.0, 1.0),
                   structural_p_max=1.5, convergence_h=(0.2, 0.1),
                   stages=("mesh", "reconstruction"), jet_batch="jets.txt", out_dir="out",
                   seed=7, jobs=2)

@@ -175,8 +175,8 @@ def test_admissible_taus():
 
 
 def test_width_rule():
-    assert probe_width(4.0, 1.0) == 0.5
-    assert probe_width(16.0, 1.0) == 0.25
+    assert probe_width(4.0) == 0.5
+    assert probe_width(16.0) == 0.25
 
 
 def test_extract_symbol_ladder_guards():
@@ -301,11 +301,13 @@ def test_reconstruct_rejects_fewer_than_two_admissible_frequencies():
      "^r_max applies to the decay regime only"),
     (PolarGrid(n_directions=1, n_radii=2, radius_fraction=0.0), "small",
      "^radius_fraction must be positive$"),
+    # no direction, or no state value, would return no sample at all
+    (PolarGrid(n_directions=0, n_radii=2), "small", "^n_directions must be at least 1$"),
     # a (grid, keyword arguments) pair passes the arguments to reconstruct
-    ((PolarGrid(n_directions=1, n_radii=2), {"nyquist_nodes": 0}), "small",
-     "^nyquist_nodes must be positive$"),
-    ((PolarGrid(n_directions=1, n_radii=2, r_max=1.0), {"big_n": 0.0}), "decay",
-     "^big_n must be positive$"),
+    ((PolarGrid(n_directions=1, n_radii=2), {"s_grid": ()}), "small",
+     "^s_values must be non-empty$"),
+    ((PolarGrid(n_directions=1, n_radii=2), {"jobs": 0}), "small",
+     "^jobs must be at least 1$"),
 ])
 def test_reconstruct_rejects_bad_requests_before_any_solve(grid, regime, cause):
     # the mesh's solver state is never built
@@ -314,8 +316,8 @@ def test_reconstruct_rejects_bad_requests_before_any_solve(grid, regime, cause):
     grid, options = grid if isinstance(grid, tuple) else (grid, {})
     mesh = build_disk_mesh(1.0, 0.1)
     with pytest.raises(ValueError, match=cause):
-        reconstruct(preset_decay_mix(0.2, 0.05, 0.1), mesh, (0.0,), grid, regime=regime,
-                    tau_ladder=(2.0, 4.0), **options)
+        reconstruct(preset_decay_mix(0.2, 0.05, 0.1), mesh, grid=grid, regime=regime,
+                    tau_ladder=(2.0, 4.0), **{"s_grid": (0.0,), **options})
     assert mesh._cache == {}
 
 
