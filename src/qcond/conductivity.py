@@ -274,8 +274,6 @@ class JetRadius:
     b1: float
     b2: float
     pi: float
-    pi1: float
-    big_n: float
 
 
 def jet_radius(cond: ConductivitySpec, s: float, domain_diam: float,
@@ -304,8 +302,7 @@ def jet_radius(cond: ConductivitySpec, s: float, domain_diam: float,
     b1 = min(c1, pi1 / (big_n * domain_diam))
     b2 = c2
     pi = math.inf if cond.decay_constant is not None else min(math.sqrt(b1 * b2), b1)
-    return JetRadius(s=float(s), A=A, U=U, c1=c1, c2=c2, b1=b1, b2=b2,
-                     pi=pi, pi1=pi1, big_n=big_n)
+    return JetRadius(s=float(s), A=A, U=U, c1=c1, c2=c2, b1=b1, b2=b2, pi=pi)
 
 
 # ---------------------------------------------------------------------------

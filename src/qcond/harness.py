@@ -361,13 +361,17 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
     # -- reconstruction -----------------------------------------------------
     if stage("reconstruction"):
         t0 = time.perf_counter()
-        grid = reconstruct(cond, mesh, cfg.s_values, _polar_grid(cfg), regime=cfg.regime,
-                           tau_ladder=cfg.tau_ladder, jobs=cfg.jobs)
-        stats = grid.error_stats()
-        report.recovery_stats = stats
-        details = "\n".join(f"{k} = {v}" for k, v in stats.items())
-        log_stage("reconstruction", stats["n_samples"] > 0 and stats["n_failed"] == 0,
-                  details, t0)
+        try:
+            grid = reconstruct(cond, mesh, cfg.s_values, _polar_grid(cfg), regime=cfg.regime,
+                               tau_ladder=cfg.tau_ladder, jobs=cfg.jobs)
+        except ValueError as exc:       # the mesh admits too few probe frequencies
+            log_stage("reconstruction", False, str(exc), t0)
+        else:
+            stats = grid.error_stats()
+            report.recovery_stats = stats
+            details = "\n".join(f"{k} = {v}" for k, v in stats.items())
+            log_stage("reconstruction", stats["n_samples"] > 0 and stats["n_failed"] == 0,
+                      details, t0)
 
     _write_outputs(out, report, grid)
     return report

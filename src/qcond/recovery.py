@@ -1,18 +1,21 @@
 """Boundary determination and algebraic inversion of the conductivity.
 
 The measurement side pairs the linearized boundary flux map against
-oscillatory probes concentrated at a boundary frame.  The leading
-high-frequency response is linear in the frequency: its even (in the
-probe direction) real slope estimates sqrt(det a_ij) at the boundary
-jet, and its odd imaginary slope estimates the antisymmetric flux
-component.  The inversion side turns those two measured invariants into
-a(s, p) pointwise: matrix recovery from the tangential block for n >= 3
-(pure linear algebra) and a radial integration identity for n = 2.
+oscillatory probes at a boundary frame.  The high-frequency response is
+linear in the frequency: its even real slope estimates sqrt(det a_ij) at
+the boundary jet, its odd imaginary slope the antisymmetric flux
+component.  The inversion side turns the two into a(s, p) pointwise:
+matrix recovery from the tangential block for n >= 3 (pure linear
+algebra), a radial integration identity for n = 2.  ``reconstruct``
+walks each chain (a state value and a boundary direction) on a thread
+pool, measuring at jets along a radial grid, and then inverts each
+chain's record alone, in task order.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -90,7 +93,6 @@ class SymbolEstimate:
     residual of the even/odd split is 0 by construction.
     """
     frame: BoundaryFrame
-    jet: tuple
     tau_list: np.ndarray
     real_slope: float
     imag_slope: float
@@ -103,7 +105,7 @@ class SymbolEstimate:
 
 
 def extract_symbol(dn_eval: Callable, mesh: Mesh, frame: BoundaryFrame,
-                   tau_list: Sequence[float], jet=(0.0, np.zeros(2))) -> SymbolEstimate:
+                   tau_list: Sequence[float]) -> SymbolEstimate:
     """Measure the first-order symbol of a linearized flux evaluator.
 
     ``dn_eval`` maps an (n_boundary, K) block of complex boundary data
@@ -153,7 +155,7 @@ def extract_symbol(dn_eval: Callable, mesh: Mesh, frame: BoundaryFrame,
     denom = max(abs(coef_r[0]) * taus[-1], 1e-300)
     fit_res = float(np.sqrt((np.sum((A_lin @ lin_r - even.real) ** 2)
                              + np.sum((A_lin @ lin_i - odd.imag) ** 2)) / len(taus)) / denom)
-    return SymbolEstimate(frame=frame, jet=jet, tau_list=taus,
+    return SymbolEstimate(frame=frame, tau_list=taus,
                           real_slope=float(coef_r[0]), imag_slope=float(coef_i[0]),
                           real_intercept=float(coef_r[1]), imag_intercept=float(coef_i[1]),
                           fit_residual=fit_res, parity_residual=parity,
@@ -341,18 +343,92 @@ def check_request(s_grid, grid: PolarGrid, regime: str, jobs: int):
             raise ValueError(f"{name} must be positive")
 
 
+def _walk_chain(cond: ConductivitySpec, mesh: Mesh, task: tuple, r_max: float,
+                n_radii: int, regime: str, taus: list, progress: Optional[Callable]):
+    """Measure chain task = (s, theta) node by node along q in [0, r_max].
+
+    Each node's base (the constant-s solve at q = 0, else a jet warm-started
+    from the previous base) gives a linearized operator and a symbol fit;
+    a failure becomes the node's status.  Returns (frame, q grid, D,
+    statuses, symbol rows), D = det + antisym^2 being NaN at failed nodes.
+    """
+    s, theta = task
+    frame = boundary_frame_at(mesh, theta)
+    q_grid = np.linspace(0.0, r_max, n_radii + 1)
+    D, status = np.full(len(q_grid), np.nan), ["ok"] * len(q_grid)
+    symrows, t_hist, prev = [], [], None
+    for k, qv in enumerate(q_grid):
+        try:
+            if qv == 0.0:
+                base = solve_dirichlet(cond, mesh, np.full(len(mesh.boundary_loop), s))
+            else:
+                t_hint = (t_hist[-1] + (t_hist[-1] - t_hist[-2]) if len(t_hist) >= 2
+                          else t_hist[-1] if t_hist else None)
+                req = JetRequest(frame=frame, s=s, p=qv * frame.tau, regime=regime)
+                res = prescribe_jet(cond, mesh, req, t_hint=t_hint, warm_start=prev)
+                if not res.ok:
+                    status[k] = f"jet: {res.message}"
+                    continue
+                t_hist.append(res.t_star)
+                base = res.sol
+            prev = base
+            # solved by GMRES on the mesh's Laplace LU
+            op = LinearizedOperator.at_base(cond, base)
+            sym = extract_symbol(op.dn_flux, mesh, frame, taus)
+            symrows.append((s, theta, float(qv), sym.real_slope, sym.imag_slope,
+                            sym.fit_residual, sym.parity_residual))
+            if not sym.reliable:
+                status[k] = f"symbol: fit residual {sym.fit_residual:.3e}"
+                continue
+            det_est, anti_est = measured_invariants(sym)
+            D[k] = det_est + anti_est ** 2
+        except (SolveError, ValueError, RecoveryError) as exc:
+            status[k] = f"{type(exc).__name__}: {exc}"
+    if progress is not None:
+        progress(task)
+    return frame, q_grid, D, status, symrows
+
+
+def _invert_chain(cond: ConductivitySpec, task: tuple, frame: BoundaryFrame,
+                  q_grid: np.ndarray, D: np.ndarray, status: list) -> list:
+    """The samples of a walked chain but its q = 0 node, which every
+    direction repeats.  The radial identity only needs a prefix: the nodes
+    before the first failure are inverted, the rest skipped.  a_hat is
+    finite exactly when the status is "ok"."""
+    s, theta = task
+    prefix = next((k for k, d in enumerate(D) if not np.isfinite(d)), len(D))
+    status = [st if k < prefix or st != "ok" else "skipped: radial chain broken earlier"
+              for k, st in enumerate(status)]
+    a_hat = np.full(len(q_grid), np.nan)
+    if prefix < 3:
+        status[:prefix] = ["skipped: fewer than 3 nodes before the first failure"] * prefix
+    else:
+        try:
+            a_hat[:prefix] = radial_integration_recovery(q_grid[:prefix], D[:prefix])
+        except RecoveryError as exc:
+            status[:prefix] = [f"integration: {exc}"] * prefix
+    out = []
+    for qv, a, st in zip(q_grid[1:], a_hat[1:], status[1:]):
+        p_vec = qv * frame.tau
+        a_true = float(cond(s, p_vec))
+        rel = abs(a - a_true) / a_true if (st == "ok" and a_true) else None
+        out.append(RecoverySample(s=s, p=p_vec, a_hat=float(a), a_true=a_true, rel_err=rel,
+                                  status=st, theta=theta))
+    return out
+
+
 def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
                 regime: str = "small", tau_ladder: Sequence[float] = DEFAULT_LADDER,
                 jobs: int = 1, progress: Optional[Callable] = None) -> RecoveryGrid:
     """Reconstruct a(s, p) over a polar gradient grid from boundary data.
 
-    For each state value and direction the pipeline prescribes boundary
-    jets with vanishing normal slope and tangential magnitudes along a
-    radial grid, measures the symbol invariants at each jet, and inverts
-    the radial identity.  Per-sample failures are recorded and skipped.
-    Every sample is scored against ``cond`` itself (``a_true``,
-    ``rel_err``): a run reconstructs a known model, there is no blind mode.
-    The jet radius pi(s) is jet_radius's at its defaults pi1 = 1, N = 10.
+    Each (s, direction) pair is a chain.  A pool of ``jobs`` threads walks
+    the chains, measuring the symbol invariants at jets of vanishing normal
+    slope along a radial grid, and calls ``progress(task)`` as each walk
+    ends; then each chain's radial identity is inverted, in task order.
+    Per-sample failures are recorded and skipped.  Every sample is scored
+    against ``cond`` itself (``a_true``, ``rel_err``): a run reconstructs
+    a known model.  The jet radius pi(s) is jet_radius's at pi1 = 1, N = 10.
     """
     check_request(s_grid, grid, regime, jobs)
     taus = admissible_taus(mesh, tau_ladder)
@@ -360,92 +436,15 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
         raise ValueError("mesh too coarse for the frequency ladder")
     thetas = 2.0 * math.pi * np.arange(grid.n_directions) / grid.n_directions
     tasks = [(float(s), float(th)) for s in s_grid for th in thetas]
-
-    pi_profile = {float(s): jet_radius(cond, float(s), mesh.diameter).pi
-                  for s in s_grid}
-
-    def run_chain(task):
-        s, theta = task
-        frame = boundary_frame_at(mesh, theta)
-        r_max = grid.r_max or grid.radius_fraction * pi_profile[s]
-        q_grid = np.linspace(0.0, r_max, grid.n_radii + 1)
-        D = np.full(len(q_grid), np.nan)
-        status = ["ok"] * len(q_grid)
-        symrows = []
-        t_hist = []
-        prev = None
-        for k, qv in enumerate(q_grid):
-            try:
-                if qv == 0.0:
-                    base = solve_dirichlet(cond, mesh, np.full(len(mesh.boundary_loop), s))
-                    jet = (s, np.zeros(2))
-                else:
-                    t_hint = None
-                    if len(t_hist) >= 2:
-                        t_hint = t_hist[-1] + (t_hist[-1] - t_hist[-2])
-                    elif t_hist:
-                        t_hint = t_hist[-1]
-                    req = JetRequest(frame=frame, s=s, p=qv * frame.tau, regime=regime)
-                    res = prescribe_jet(cond, mesh, req, t_hint=t_hint, warm_start=prev)
-                    if not res.ok:
-                        status[k] = f"jet: {res.message}"
-                        continue
-                    t_hist.append(res.t_star)
-                    base = res.sol
-                    jet = (res.achieved_s, res.achieved_p)
-                prev = base
-                # solved by GMRES on the mesh's Laplace LU
-                op = LinearizedOperator.at_base(cond, base)
-                sym = extract_symbol(op.dn_flux, mesh, frame, taus, jet=jet)
-                symrows.append((s, theta, float(qv), sym.real_slope, sym.imag_slope,
-                                sym.fit_residual, sym.parity_residual))
-                if not sym.reliable:
-                    status[k] = f"symbol: fit residual {sym.fit_residual:.3e}"
-                    continue
-                det_est, anti_est = measured_invariants(sym)
-                D[k] = det_est + anti_est ** 2
-            except (SolveError, ValueError, RecoveryError) as exc:
-                status[k] = f"{type(exc).__name__}: {exc}"
-        out = []
-        good = np.isfinite(D)
-        # the cumulative identity only needs the radial prefix: salvage
-        # everything before the first failed node
-        first_bad = int(np.argmin(good)) if not good.all() else len(q_grid)
-        a_hat = np.full(len(q_grid), np.nan)
-        if first_bad >= 3:
-            try:
-                a_hat[:first_bad] = radial_integration_recovery(q_grid[:first_bad],
-                                                                D[:first_bad])
-            except RecoveryError as exc:
-                status = [f"integration: {exc}"] * len(q_grid)
-        for k in range(first_bad, len(q_grid)):
-            if status[k] == "ok":
-                status[k] = "skipped: radial chain broken earlier"
-        for k, qv in enumerate(q_grid):
-            if k == 0:
-                continue       # q = 0 repeats across directions; skip in output
-            p_vec = qv * frame.tau
-            a_true = float(cond(s, p_vec))
-            ok = status[k] == "ok" and np.isfinite(a_hat[k])
-            rel = abs(a_hat[k] - a_true) / a_true if (ok and a_true) else None
-            out.append(RecoverySample(s=s, p=p_vec, a_hat=float(a_hat[k]) if ok else math.nan,
-                                      a_true=a_true, rel_err=rel,
-                                      status=status[k] if status[k] != "ok" or ok else "failed",
-                                      theta=theta))
-        if progress is not None:
-            progress(task)
-        return out, symrows
-
-    # every assembly and warm start of every chain uses the mesh's P1
-    # pattern and Laplace LU: build both before any chain, so no chain
-    # writes to the mesh
+    pi_profile = {float(s): jet_radius(cond, float(s), mesh.diameter).pi for s in s_grid}
+    r_max = {s: grid.r_max or grid.radius_fraction * pi for s, pi in pi_profile.items()}
+    # every chain's assembly and warm starts use the mesh's P1 pattern and
+    # Laplace LU: build both before any chain, so no chain writes to the mesh
     _laplace_factor(mesh)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(run_chain, tasks))
-    else:
-        chunks = [run_chain(t) for t in tasks]
-    samples = [s for chunk, _ in chunks for s in chunk]
-    symbol_rows = [r for _, rows in chunks for r in rows]
-    return RecoveryGrid(samples=samples, pi_profile=pi_profile, symbol_rows=symbol_rows)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        records = list(pool.map(lambda task: _walk_chain(
+            cond, mesh, task, r_max[task[0]], grid.n_radii, regime, taus, progress), tasks))
+    samples = [smp for task, (*chain, _) in zip(tasks, records)
+               for smp in _invert_chain(cond, task, *chain)]
+    return RecoveryGrid(samples=samples, pi_profile=pi_profile,
+                        symbol_rows=[row for *_, rows in records for row in rows])

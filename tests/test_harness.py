@@ -192,6 +192,19 @@ def test_run_deterministic_outputs(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_run_reports_a_mesh_too_coarse_for_the_ladder(tmp_path):
+    # the admissible frequencies depend on the built mesh, so the config
+    # passes validation and the reconstruction stage fails in the report
+    cfg = RunConfig(h=0.2, stages=("mesh", "reconstruction"), out_dir=str(tmp_path / "o"))
+    report = run(cfg, echo=None)
+    assert [(s.name, s.ok) for s in report.stages] == [("mesh", True),
+                                                       ("reconstruction", False)]
+    assert report.stages[1].details == "mesh too coarse for the frequency ladder"
+    text = (tmp_path / "o" / "report.txt").read_text()
+    assert "[FAIL] reconstruction" in text
+    assert "mesh too coarse for the frequency ladder" in text
+
+
 def test_linearization_and_geometric_stages_share_one_base(tmp_path, monkeypatch):
     from qcond import harness, linearized
     cold, at_base = [], []
@@ -293,7 +306,7 @@ def test_load_config_file(tmp_path):
 
 
 def test_reconstruct_jobs_deterministic():
-    from qcond.conductivity import preset_constant, preset_p_lorentz
+    from qcond.conductivity import make_preset, preset_constant, preset_p_lorentz
     from qcond.geometry import build_disk_mesh
     from qcond.recovery import PolarGrid, reconstruct
 
@@ -311,6 +324,13 @@ def test_reconstruct_jobs_deterministic():
     cond = preset_p_lorentz(0.2)
     grids = [reconstruct(cond, build_disk_mesh(1.0, 0.05), (0.0,),
                          PolarGrid(n_directions=2, n_radii=3), jobs=j) for j in (1, 2)]
+    assert samples(grids[0]) == samples(grids[1])
+    # decay chains: exp-barrier jets, several solves each
+    cond = make_preset("decay_mix(0.2,0.05,0.1)")
+    grids = [reconstruct(cond, build_disk_mesh(1.0, 0.1), (0.0,),
+                         PolarGrid(n_directions=2, n_radii=3, r_max=2.0), regime="decay",
+                         tau_ladder=(2.0, 4.0), jobs=j) for j in (1, 2)]
+    assert all(s.status == "ok" for s in grids[0].samples)
     assert samples(grids[0]) == samples(grids[1])
 
 

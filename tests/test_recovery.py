@@ -249,6 +249,59 @@ def test_reconstruct_salvages_radial_prefix():
                and np.isnan(s.a_hat) for s in bad)
 
 
+def test_reconstruct_names_the_cause_of_a_short_prefix():
+    # pi(0) = 0.05 for constant(1) on the unit disk: node 2 (|p| = 0.075)
+    # cannot be prescribed, and the two nodes before it are too few to
+    # invert, so the |p| = 0.0375 sample is skipped with that cause
+    from qcond.conductivity import preset_constant
+    from qcond.recovery import reconstruct
+    grid = reconstruct(preset_constant(1.0), build_disk_mesh(1.0, 0.1), (0.0,),
+                       PolarGrid(n_directions=1, n_radii=2, radius_fraction=1.5),
+                       tau_ladder=(2.0, 4.0))
+    first, second = grid.samples
+    assert abs(np.linalg.norm(first.p) - 0.0375) < 1e-12
+    assert first.status == "skipped: fewer than 3 nodes before the first failure"
+    assert second.status.startswith("ValueError: jet outside the small-gradient radius")
+    assert all(np.isnan(s.a_hat) and s.rel_err is None for s in grid.samples)
+
+
+_JET, _STALL = "jet: target normal slope 2 outside achieved interval [0, 1]", "SolveError: x"
+_BROKEN = "skipped: radial chain broken earlier"
+_NEGATIVE = "integration: nonpositive determinant measurement D; inversion invalid"
+
+
+@pytest.mark.parametrize("D,status,expect", [
+    # every node measured: all four samples recovered
+    ([1, 1, 1, 1, 1], ["ok"] * 5, ["ok"] * 4),
+    # a break at node 3 keeps the three nodes before it; a later node that
+    # was measured is skipped, one that failed keeps its own cause
+    ([1, 1, 1, None, 1], ["ok"] * 3 + [_JET, "ok"], ["ok", "ok", _JET, _BROKEN]),
+    ([1, 1, 1, None, None], ["ok"] * 3 + [_JET, _STALL], ["ok", "ok", _JET, _STALL]),
+    # a break at node 2 leaves two nodes, too few for the identity
+    ([1, 1, None, 1, 1], ["ok", "ok", _JET, "ok", "ok"],
+     ["skipped: fewer than 3 nodes before the first failure", _JET, _BROKEN, _BROKEN]),
+    # a negative D fails the inverted prefix only: node 4 failed on its own
+    ([1, -1, 1, 1, None], ["ok"] * 4 + [_STALL], [_NEGATIVE] * 3 + [_STALL]),
+], ids=["all_ok", "break_at_3", "break_at_3_then_fail", "break_at_2", "negative_D"])
+def test_invert_chain_status_rules(D, status, expect):
+    # synthetic walk records of constant(1), where D = 1 inverts to a = 1
+    from qcond.conductivity import preset_constant
+    from qcond.geometry import BoundaryFrame
+    from qcond.recovery import _invert_chain
+    frame = BoundaryFrame(x0=np.array([1.0, 0.0]), nu=np.array([1.0, 0.0]),
+                          tau=np.array([0.0, 1.0]), theta=0.0, vertex=0, loop_pos=0)
+    D = np.array([np.nan if d is None else d for d in D], dtype=float)
+    samples = _invert_chain(preset_constant(1.0), (0.0, 0.0), frame,
+                            np.linspace(0.0, 0.4, 5), D, status)
+    assert [s.status for s in samples] == expect
+    for s in samples:
+        assert np.isfinite(s.a_hat) == (s.status == "ok")
+        assert (s.rel_err is not None) == (s.status == "ok")
+        if s.status == "ok":
+            assert abs(s.a_hat - 1.0) < 1e-12
+    assert [s.p[1] for s in samples] == list(np.linspace(0.0, 0.4, 5)[1:])
+
+
 def test_reconstruct_records_missing_decay_constant():
     from qcond.conductivity import preset_p_gauss
     from qcond.recovery import reconstruct
