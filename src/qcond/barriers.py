@@ -174,21 +174,24 @@ class JetResult:
 
 
 def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
-                  pi1: float = 1.0, big_n: float = 10.0, max_solves: int = 40,
-                  t_hint: Optional[float] = None,
+                  max_solves: int = 40, t_hint: Optional[float] = None,
                   warm_start: Optional[DiscreteSolution] = None) -> JetResult:
     """Construct boundary data whose solution attains the requested jet.
 
     The data is the trace of the barrier with normal slope t (log, or exp
     with its step frozen), f_t = s + p' y1 + t g(y2) with g >= 0, so f_t
     is pointwise monotone in t and the achieved normal slope at the frame
-    is monotone by the comparison principle.  The root in t is located by safeguarded
-    regula falsi (Illinois) inside the comparison bracket; at the
-    bracket endpoints the family member is an exact sub/supersolution.
-    Each Dirichlet solve is warm-started from the previous one, the first
-    from ``warm_start`` (a solution on this mesh, such as the previous
-    jet's base): it starts from that solution plus the harmonic extension
-    of the data change, so neighbouring data start near their solution.
+    is monotone by the comparison principle.  From t_hint (else p_n) the
+    search walks with doubling steps towards the target slope until it
+    brackets it, stopping at the comparison bracket's edge (jet_radius's
+    B1 at pi1 = 1 for log barriers), where the family member is an exact
+    sub/supersolution; safeguarded regula falsi (Illinois) then closes the
+    bracket.  Every attempt at a t counts against ``max_solves``, a repeat
+    included, so a jet the mesh cannot resolve to tol fails with its jet
+    error at the best t tried; ``JetResult.solves`` counts distinct solves.
+    Each solve is warm-started from the previous one, the first from
+    ``warm_start`` (a solution on this mesh, such as the previous jet's
+    base), plus the harmonic extension of the data change.
     """
     frame = request.frame
     p = np.asarray(request.p, dtype=float)
@@ -197,7 +200,7 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
     p_t = float(frame.tau @ p)
     p_n = float(-frame.nu @ p)       # inner-normal slope in normalized coords
 
-    jr = jet_radius(cond, request.s, mesh.diameter, pi1=pi1, big_n=big_n)
+    jr = jet_radius(cond, request.s, mesh.diameter)
     if request.regime == "small":
         if np.linalg.norm(p) >= jr.pi:
             raise ValueError(f"jet outside the small-gradient radius: |p|="
@@ -218,74 +221,56 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
             return exp_barrier(request.s, (p_t, t), C, h=h0)
 
     yb = iso.apply(mesh.vertices[mesh.boundary_loop])
+    table = {}      # t -> (achieved normal slope - p_n, jet error, sol, achieved s, p)
+    attempts, prev = 0, warm_start
 
-    solves = 0
-    prev = warm_start
-    cache = {}
+    def attempt(t: float):
+        """(phi, jet error <= tol) at t, solving only at a t not tried before."""
+        nonlocal attempts, prev
+        attempts += 1
+        if t not in table:
+            prev = solve_dirichlet(cond, mesh, barrier(t).value(yb), warm_start=prev)
+            s_a, p_a = boundary_jet_of(prev, frame)
+            err = abs(s_a - request.s) + float(np.linalg.norm(p_a - p))
+            table[t] = (float(-frame.nu @ p_a) - p_n, err, prev, s_a, p_a)
+        return table[t][0], table[t][1] <= tol
 
-    def achieved(t: float) -> float:
-        nonlocal solves, prev
-        if t in cache:
-            return cache[t]
-        f_t = barrier(t).value(yb)
-        sol = solve_dirichlet(cond, mesh, f_t, warm_start=prev)
-        solves += 1
-        prev = sol
-        s_a, p_a = boundary_jet_of(sol, frame)
-        cache[t] = (float(-frame.nu @ p_a), sol, s_a, p_a)
-        return cache[t]
-
-    def err_of(t: float) -> float:
-        _, _, s_a, p_a = cache[t]
-        return abs(s_a - request.s) + float(np.linalg.norm(p_a - p))
-
-    def finish(t):
-        _, sol, s_a, p_a = cache[t]
-        err = err_of(t)
-        ok = err <= tol
-        return JetResult(sol=sol, achieved_s=s_a, achieved_p=p_a,
-                         t_star=t, solves=solves, ok=ok,
-                         message="" if ok else f"jet error {err:.3e} > tol {tol:.3e}",
+    def finish(t: Optional[float] = None, message: Optional[str] = None) -> JetResult:
+        """The result at t, by default the t of least jet error so far."""
+        t = min(table, key=lambda k: table[k][1]) if t is None else t
+        _, err, sol, s_a, p_a = table[t]
+        if message is None and err > tol:
+            message = f"jet error {err:.3e} > tol {tol:.3e}"
+        return JetResult(sol=sol, achieved_s=s_a, achieved_p=p_a, t_star=t,
+                         solves=len(table), ok=message is None, message=message or "",
                          smallness=c2_surrogate_norm(mesh, sol.f, request.s))
 
     t0 = float(np.clip(t_hint if t_hint is not None else p_n, -bracket, bracket))
-    phi0 = achieved(t0)[0] - p_n
-    if err_of(t0) <= tol:
+    phi0, done = attempt(t0)
+    if done or phi0 == 0.0:      # at phi0 = 0 no t improves the jet
         return finish(t0)
 
     # walk downhill (achieved slope is monotone in t) to a sign change
+    d = -1.0 if phi0 > 0 else 1.0
     step = max(abs(phi0), 0.05 * bracket)
-    lo = hi = t0
-    flo = fhi = phi0
-    while flo * fhi > 0 and solves < max_solves:
-        if phi0 > 0:      # overshot: root lies at smaller t
-            if lo <= -bracket:
-                break
-            lo = max(-bracket, lo - step)
-            flo = achieved(lo)[0] - p_n
-            if err_of(lo) <= tol:
-                return finish(lo)
-        else:
-            if hi >= bracket:
-                break
-            hi = min(bracket, hi + step)
-            fhi = achieved(hi)[0] - p_n
-            if err_of(hi) <= tol:
-                return finish(hi)
+    t, phi = t0, phi0
+    while phi * phi0 > 0 and d * t < bracket and attempts < max_solves:
+        t = max(-bracket, min(bracket, t + d * step))
+        phi, done = attempt(t)
+        if done:
+            return finish(t)
         step *= 2.0
-    if flo * fhi > 0:
-        res = finish(min(cache, key=err_of))
-        res.ok = False
-        res.message = (f"target normal slope {p_n:.4g} outside achieved interval "
-                       f"[{min(flo, fhi) + p_n:.4g}, {max(flo, fhi) + p_n:.4g}]")
-        return res
+    if phi * phi0 > 0:
+        return finish(message=f"target normal slope {p_n:.4g} outside achieved interval "
+                              f"[{min(phi0, phi) + p_n:.4g}, {max(phi0, phi) + p_n:.4g}]")
 
+    lo, flo, hi, fhi = (t, phi, t0, phi0) if d < 0 else (t0, phi0, t, phi)
     side = 0
-    while solves < max_solves:
+    while attempts < max_solves:
         t_new = (lo * fhi - hi * flo) / (fhi - flo)
         t_new = float(np.clip(t_new, lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo)))
-        f_new = achieved(t_new)[0] - p_n
-        if err_of(t_new) <= tol:
+        f_new, done = attempt(t_new)
+        if done:
             return finish(t_new)
         if f_new * flo < 0:
             hi, fhi = t_new, f_new
@@ -297,4 +282,4 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
             if side == 1:
                 fhi *= 0.5
             side = 1
-    return finish(min(cache, key=err_of))
+    return finish()

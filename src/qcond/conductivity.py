@@ -14,6 +14,7 @@ radius pi(s) inside which boundary jets can be prescribed.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -277,16 +278,16 @@ class JetRadius:
 
 
 def jet_radius(cond: ConductivitySpec, s: float, domain_diam: float,
-               pi1: float = 1.0, big_n: float = 10.0) -> JetRadius:
+               pi1: float = 1.0) -> JetRadius:
     """Gradient radius pi(s) = min(sqrt(B1 B2), B1) for prescribable jets.
 
     Built from A = 2 diam, U = |s| + 2A,
     C1 = min(lambda0(U)/(2 mu0(U)), 1), C2 = min(2 lambda0(U)/(A^2 mu0(U)), 1),
-    B1 = min(C1, pi1/(N diam)), B2 = C2.  The linearization-smallness
-    scale pi1 and the margin factor N are calibration inputs; runtime
-    solvability is checked per solve, not assumed from them.
-    ``reconstruct`` takes the defaults pi1 = 1, N = 10; a large pi1
-    (such as 1e6) drops the pi1 term and leaves the full paraboloid
+    B1 = min(C1, pi1/(N diam)), B2 = C2, with the margin factor N = 10.
+    The linearization-smallness scale pi1 is a calibration input; runtime
+    solvability is checked per solve, not assumed from it.
+    ``prescribe_jet`` and ``reconstruct`` take the default pi1 = 1; a large
+    pi1 (such as 1e6) drops the pi1 term and leaves the full paraboloid
     B1 = C1, as the barrier checks use.
 
     A model carrying a decay constant admits arbitrary jets, reported as
@@ -299,7 +300,7 @@ def jet_radius(cond: ConductivitySpec, s: float, domain_diam: float,
     lam, mu = float(cond.lambda0(U)), float(cond.mu0(U))
     c1 = min(lam / (2.0 * mu), 1.0)
     c2 = min(2.0 * lam / (A * A * mu), 1.0)
-    b1 = min(c1, pi1 / (big_n * domain_diam))
+    b1 = min(c1, pi1 / (10.0 * domain_diam))
     b2 = c2
     pi = math.inf if cond.decay_constant is not None else min(math.sqrt(b1 * b2), b1)
     return JetRadius(s=float(s), A=A, U=U, c1=c1, c2=c2, b1=b1, b2=b2, pi=pi)
@@ -501,4 +502,8 @@ def make_preset(expr: str) -> ConductivitySpec:
     if name not in PRESETS:
         raise ValueError(f"unknown conductivity preset {name!r}; "
                          f"available: {', '.join(sorted(PRESETS))}")
+    try:
+        inspect.signature(PRESETS[name]).bind(*args)
+    except TypeError as exc:        # a wrong argument count
+        raise ValueError(f"conductivity preset {name!r}: {exc}") from None
     return PRESETS[name](*args)

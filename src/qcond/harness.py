@@ -117,6 +117,10 @@ def validate_config(cfg: RunConfig):
     if cfg.h <= 0 or cfg.radius <= 0 or cfg.h >= cfg.radius:
         raise ConfigError("mesh: need 0 < h < radius")
     try:
+        make_preset(cfg.conductivity)
+    except ValueError as exc:
+        raise ConfigError(f"conductivity: {exc}") from None
+    try:
         check_request(cfg.s_values, _polar_grid(cfg), cfg.regime, cfg.jobs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -167,10 +171,6 @@ class RunReport:
             lines.append(f"[{mark}] {s.name} ({s.elapsed:.2f}s)")
             for d in s.details.splitlines():
                 lines.append(f"    {d}")
-        if self.recovery_stats:
-            lines.append("")
-            for k, v in self.recovery_stats.items():
-                lines.append(f"{k} = {v}")
         return "\n".join(lines) + "\n"
 
 
@@ -208,14 +208,13 @@ def run_jet_batch(cond: ConductivitySpec, mesh: Mesh, path):
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 6 or parts[0] != "jet":
-            raise ConfigError(f"jet batch line {lineno}: expected "
-                              f"'jet theta s p1 p2 regime', got {raw!r}")
-        theta, s, p1, p2 = map(float, parts[1:5])
-        regime = parts[5]
-        frame = boundary_frame_at(mesh, theta)
         try:
-            req = JetRequest(frame=frame, s=s, p=np.array([p1, p2]), regime=regime)
+            if len(parts) != 6 or parts[0] != "jet":
+                raise ValueError(f"expected 'jet theta s p1 p2 regime', got {raw!r}")
+            theta, s, p1, p2 = map(float, parts[1:5])
+            regime = parts[5]
+            req = JetRequest(frame=boundary_frame_at(mesh, theta), s=s,
+                             p=np.array([p1, p2]), regime=regime)
         except ValueError as exc:
             raise ConfigError(f"jet batch line {lineno}: {exc}") from None
         try:
@@ -351,12 +350,16 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
     # -- jet batch ----------------------------------------------------------
     if cfg.jet_batch:
         t0 = time.perf_counter()
-        rows = run_jet_batch(cond, mesh, cfg.jet_batch)
-        write_csv(out / "jets.csv",
-                  ("theta", "s", "p1", "p2", "regime", "achieved_s",
-                   "achieved_p1", "achieved_p2", "solves", "status"), rows)
-        log_stage("jets", all(r[-1] == "ok" for r in rows),
-                  f"{len(rows)} jet requests -> jets.csv", t0)
+        try:
+            rows = run_jet_batch(cond, mesh, cfg.jet_batch)
+        except (ConfigError, OSError) as exc:     # a missing or malformed batch file
+            log_stage("jets", False, str(exc), t0)
+        else:
+            write_csv(out / "jets.csv",
+                      ("theta", "s", "p1", "p2", "regime", "achieved_s",
+                       "achieved_p1", "achieved_p2", "solves", "status"), rows)
+            log_stage("jets", all(r[-1] == "ok" for r in rows),
+                      f"{len(rows)} jet requests -> jets.csv", t0)
 
     # -- reconstruction -----------------------------------------------------
     if stage("reconstruction"):

@@ -89,8 +89,11 @@ class SymbolEstimate:
 
     real_slope estimates sqrt(det a_ij) at the jet; imag_slope the
     antisymmetric flux component A_ij nu_i tau_j.  The fit residual
-    measures the linearity of the frequency response; the parity
-    residual of the even/odd split is 0 by construction.
+    measures the linearity of the frequency response.  The parity
+    residual, a symbols.csv column, is 0.0: the opposite orientation's
+    pairings are the conjugates, so the even/odd split is exactly the
+    real/imaginary one.
+    ``pairings`` holds the measured pairing P(tau) per frequency.
     """
     frame: BoundaryFrame
     tau_list: np.ndarray
@@ -112,11 +115,12 @@ def extract_symbol(dn_eval: Callable, mesh: Mesh, frame: BoundaryFrame,
     (loop order) to the block of their variational flux pairings, and
     must commute with conjugation (a real operator).  It is called once,
     on the probes of all K frequencies, one column each in increasing
-    order, each windowed to probe_width(tau); the opposite orientation's
-    probes and pairings are their conjugates.  The even combination of
-    the two carries the metric part, the odd one the antisymmetric part,
-    and zeroth-order terms (drift and curvature) land in the fit
-    intercepts.
+    order, each windowed to probe_width(tau).  The opposite orientation's
+    probes and pairings are their conjugates, so the even combination of
+    the two is the real part of the pairing, carrying the metric part, and
+    the odd one its imaginary part, carrying the antisymmetric part; each
+    is fit directly, and zeroth-order terms (drift and curvature) land in
+    the fit intercepts.
 
     With three or more frequencies the fit carries an extra tau^3 term:
     the variational pairing of a discrete solve is superconvergent
@@ -136,31 +140,25 @@ def extract_symbol(dn_eval: Callable, mesh: Mesh, frame: BoundaryFrame,
     hs, nsqs = zip(*(oscillatory_probe(mesh, frame, tau, probe_width(tau))
                      for tau in taus))
     H = np.stack(hs, axis=1)
-    P_plus = np.sum(dn_eval(H) * np.conj(H), axis=0) / np.array(nsqs)
-    P_minus = np.conj(P_plus)
-
-    even = 0.5 * (P_plus + P_minus)
-    odd = 0.5 * (P_plus - P_minus)
-    scale = np.abs(P_plus).max()
-    parity = float((np.abs(even.imag).max() + np.abs(odd.real).max()) / max(scale, 1e-300))
+    P = np.sum(dn_eval(H) * np.conj(H), axis=0) / np.array(nsqs)
 
     A_lin = np.stack([taus, np.ones_like(taus)], axis=1)
     A_fit = (np.stack([taus, np.ones_like(taus), taus ** 3], axis=1)
              if len(taus) >= 3 else A_lin)
-    coef_r = np.linalg.lstsq(A_fit, even.real, rcond=None)[0]
-    coef_i = np.linalg.lstsq(A_fit, odd.imag, rcond=None)[0]
+    coef_r = np.linalg.lstsq(A_fit, P.real, rcond=None)[0]
+    coef_i = np.linalg.lstsq(A_fit, P.imag, rcond=None)[0]
     # linearity diagnostic always from the 2-parameter model
-    lin_r = np.linalg.lstsq(A_lin, even.real, rcond=None)[0]
-    lin_i = np.linalg.lstsq(A_lin, odd.imag, rcond=None)[0]
+    lin_r = np.linalg.lstsq(A_lin, P.real, rcond=None)[0]
+    lin_i = np.linalg.lstsq(A_lin, P.imag, rcond=None)[0]
     denom = max(abs(coef_r[0]) * taus[-1], 1e-300)
-    fit_res = float(np.sqrt((np.sum((A_lin @ lin_r - even.real) ** 2)
-                             + np.sum((A_lin @ lin_i - odd.imag) ** 2)) / len(taus)) / denom)
+    fit_res = float(np.sqrt((np.sum((A_lin @ lin_r - P.real) ** 2)
+                             + np.sum((A_lin @ lin_i - P.imag) ** 2)) / len(taus)) / denom)
     return SymbolEstimate(frame=frame, tau_list=taus,
                           real_slope=float(coef_r[0]), imag_slope=float(coef_i[0]),
                           real_intercept=float(coef_r[1]), imag_intercept=float(coef_i[1]),
-                          fit_residual=fit_res, parity_residual=parity,
+                          fit_residual=fit_res, parity_residual=0.0,
                           reliable=(fit_res < FIT_THRESHOLD and coef_r[0] > 0),
-                          pairings=np.stack([P_plus, P_minus]))
+                          pairings=P)
 
 
 def measured_invariants(sym: SymbolEstimate):
@@ -382,7 +380,7 @@ def _walk_chain(cond: ConductivitySpec, mesh: Mesh, task: tuple, r_max: float,
                 continue
             det_est, anti_est = measured_invariants(sym)
             D[k] = det_est + anti_est ** 2
-        except (SolveError, ValueError, RecoveryError) as exc:
+        except (SolveError, ValueError) as exc:
             status[k] = f"{type(exc).__name__}: {exc}"
     if progress is not None:
         progress(task)

@@ -1,5 +1,6 @@
 import functools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -123,8 +124,8 @@ def test_exp_barrier_rule_violation_goes_negative():
 def test_prescribe_jet_laplace_affine():
     m = build_disk_mesh(1.0, 0.1)
     fr = boundary_frame_at(m, -math.pi / 2)
-    req = JetRequest(frame=fr, s=0.0, p=0.1 * fr.tau, regime="small")
-    res = prescribe_jet(preset_constant(1.0), m, req, pi1=1e6)
+    req = JetRequest(frame=fr, s=0.0, p=0.04 * fr.tau, regime="small")   # pi(0) = 0.05
+    res = prescribe_jet(preset_constant(1.0), m, req)
     assert res.ok and res.solves <= 2
     assert np.linalg.norm(res.achieved_p - req.p) < 5.0 * m.h ** 2
 
@@ -244,6 +245,29 @@ def test_bracket_failure_reported():
     res = prescribe_jet(cond, m, JetRequest(frame=fr, s=0.0, p=p, regime="small"),
                         max_solves=1, t_hint=jr.b1)
     assert not res.ok and res.message
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("prescribe_jet ran past its time limit")
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 5.0])
+def test_unresolvable_jet_fails_within_budget(scale):
+    # on this coarse mesh the jet error stalls above tol while regula falsi
+    # squeezes the bracket to adjacent floats, so later t repeat tried ones;
+    # each repeat spends the budget and the search ends with its jet error
+    m = build_disk_mesh(1.0, 0.2)
+    fr = boundary_frame_at(m, 0.0)
+    req = JetRequest(frame=fr, s=0.3, p=scale * fr.tau, regime="decay")
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(10)
+    try:
+        res = prescribe_jet(preset_decay_mix(), m, req, max_solves=40)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not res.ok and res.solves <= 40
+    assert res.message.startswith("jet error "), res.message
 
 
 def test_c2_surrogate_norm():

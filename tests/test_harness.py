@@ -1,5 +1,6 @@
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,10 @@ MID_RUN_FAILURES = (
     (dict(convergence_h=(0.1, 0.0)), "convergence_h: need 0 < h < radius"),
     (dict(r_max=3.0), "r_max applies to the decay regime only"),
     (dict(structural_s_range=(2.0, -2.0)), "structural_s_range must be two values"),
+    (dict(conductivity="bogus(1)"), "^conductivity: unknown conductivity preset 'bogus'"),
+    (dict(conductivity="p_gauss(0.25, 1, 2)"),
+     "^conductivity: conductivity preset 'p_gauss': too many positional arguments$"),
+    (dict(conductivity="constant(0.5)"), r"^conductivity: constant preset needs c >= 1$"),
 )
 
 
@@ -265,12 +270,32 @@ def test_jet_batch(tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("jets 0 0 0 0 small\n")
         run_jet_batch(preset_p_gauss(0.25), mesh, bad)
+    # a number that does not parse names its line
+    bad.write_text("\njet 0 0.0 x 0 small\n")
+    with pytest.raises(ConfigError, match="^jet batch line 2: could not convert string "
+                                          "to float: 'x'$"):
+        run_jet_batch(preset_p_gauss(0.25), mesh, bad)
     # an unknown regime is a malformed line, not a run of either barrier
     bad.write_text("jet 0.0 0.2 0.02 0.01 small\n"
                    "jet 0.0 0.2 0.02 0.01 bogus\n")
     with pytest.raises(ConfigError, match="^jet batch line 2: regime must be one of "
                                           "small, decay, got 'bogus'$"):
         run_jet_batch(preset_p_gauss(0.25), mesh, bad)
+
+
+def test_unreadable_jet_batch_fails_its_stage(tmp_path):
+    # a missing or malformed batch file fails the jets stage, and the run
+    # still writes its report
+    bad = tmp_path / "bad.txt"
+    bad.write_text("jet 0.0 0.2 0.02 0.01 sideways\n")
+    for batch, cause in ((tmp_path / "missing.txt", "No such file"),
+                         (bad, "^jet batch line 1: regime must be one of")):
+        out = tmp_path / batch.stem
+        report = run(RunConfig(h=0.2, stages=("mesh",), jet_batch=str(batch),
+                               out_dir=str(out)), echo=None)
+        assert [(st.name, st.ok) for st in report.stages] == [("mesh", True), ("jets", False)]
+        assert re.search(cause, report.stages[-1].details)
+        assert (out / "report.txt").exists() and not (out / "jets.csv").exists()
 
 
 def test_write_csv_schema(tmp_path):
@@ -295,6 +320,9 @@ def test_cli_round_trip(tmp_path):
     assert rc == 0
     assert (tmp_path / "msh" / "mesh.txt").exists()
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+    # a preset that cannot be built is a config error
+    (tmp_path / "bogus.cfg").write_text("conductivity = bogus(1)\n")
+    assert main(["run", str(tmp_path / "bogus.cfg")]) == 2
     # overrides are validated like the file
     assert main(["run", str(cfgfile), "--jobs", "0"]) == 2
 

@@ -124,6 +124,6 @@ def test_richardson_intercept_consistency():
         return m.vertex_weights[:, None] * (c1 * np.array([8.0, 16.0]) + c0) * H
 
     sym = extract_symbol(dn_eval, m, fr, [8.0, 16.0])
-    P8, P16 = sym.pairings[0].real
+    P8, P16 = sym.pairings.real
     contamination = [P8 / 8.0 - c1, P16 / 16.0 - c1]
     assert abs(contamination[0] / contamination[1] - 2.0) < 1e-9
