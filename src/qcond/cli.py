@@ -55,7 +55,8 @@ def main(argv=None) -> int:
         print(f"wrote {out / 'mesh.txt'}")
         return 0
     if args.command == "check":
-        cfg.stages = ("structural",)
+        # the structural stage alone: no mesh, so no jet batch either
+        cfg.stages, cfg.jet_batch = ("structural",), None
     report = harness.run(cfg)
     print(report.to_text())
     return 0 if report.ok else 1

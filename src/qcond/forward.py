@@ -258,33 +258,49 @@ KRYLOV_TARGET = 1e-2
 KRYLOV_MAX_ITER = 12
 
 
-def _gmres(A: sp.spmatrix, b: np.ndarray, lu, target):
-    """Right-preconditioned GMRES for A x = b from x = 0, column by column.
+def _gmres(A: sp.spmatrix, b: np.ndarray, lu, target, x0: Optional[np.ndarray] = None):
+    """Right-preconditioned GMRES for A x = b, column by column.
 
     ``b`` is a vector or an (n, m) block and ``target`` a residual bound,
     one for all columns or one per column; ``lu`` factors a matrix near
-    A.  Each iteration extends the Arnoldi basis of every column still
-    running by one multi-column ``lu.solve`` and one sparse product.  A
-    column stops at the first iteration whose Arnoldi residual estimate
-    reaches its target, or after KRYLOV_MAX_ITER, so a block solve equals
-    its column-by-column solves up to roundoff.  A zero column has the
-    solution 0 and takes no iteration.  Returns x, the iterations summed
-    over the columns, and whether every column's true residual
-    |A x - b| meets its target.
+    A.  The iteration starts from ``x0`` (b's shape; 0 when None) and
+    corrects it on the residual b - A x0, against the same absolute
+    targets: a column whose start already meets its target, such as a
+    zero column started from 0, takes no iteration.  Each iteration
+    extends the Arnoldi basis of every column still running by one
+    multi-column ``lu.solve`` and one sparse product, then applies one
+    Givens rotation to all their Hessenberg columns at once; the last
+    entry of a column's rotated right-hand side is its residual estimate
+    (Saad 2003, section 6.5).  A column stops at the first iteration whose
+    estimate reaches its target, or after KRYLOV_MAX_ITER, so a block
+    solve equals its column-by-column solves up to roundoff.  Returns x,
+    the iterations summed over the columns, and whether every column's
+    true residual |A x - b| meets its target.
     """
     m = KRYLOV_MAX_ITER
     B = b.reshape(len(b), -1)
     n, ncol = B.shape
     target = np.broadcast_to(target, (ncol,))
+    X = np.zeros((ncol, n))
+    if x0 is not None:
+        X0 = x0.reshape(n, ncol)
+        X += X0.T
+        # in b's layout, which fixes the order of the norms' sums: a zero
+        # start is then the cold call bit for bit
+        B = np.copy(B)
+        B -= A @ X0
     beta = np.linalg.norm(B, axis=0)
     # row c of V[k] is column c's k-th Arnoldi vector, of Z[k] its
-    # preconditioned image
+    # preconditioned image; R[c] is column c's rotated Hessenberg, g[c]
+    # its rotated right-hand side beta e1, (cs, sn)[c, k] its k-th rotation
     V = np.empty((m + 1, ncol, n))
     Z = np.empty((m, ncol, n))
-    H = np.zeros((ncol, m + 1, m))
-    X = np.zeros((ncol, n))
+    R = np.zeros((ncol, m, m))
+    g = np.zeros((ncol, m + 1))
+    g[:, 0] = beta
+    cs, sn = np.empty((ncol, m)), np.empty((ncol, m))
     iters = 0
-    run = np.flatnonzero(beta > 0.0)
+    run = np.flatnonzero(beta > target)
     V[0, run] = B[:, run].T / beta[run, None]
     for k in range(m):
         if not len(run):
@@ -292,22 +308,35 @@ def _gmres(A: sp.spmatrix, b: np.ndarray, lu, target):
         Zk = lu.solve(V[k, run].T)
         Z[k, run] = Zk.T
         W = np.ascontiguousarray((A @ Zk).T)
+        h = np.empty((len(run), k + 2))
         for j in range(k + 1):              # modified Gram-Schmidt
-            H[run, j, k] = np.einsum("ci,ci->c", V[j, run], W)
-            W -= H[run, j, k, None] * V[j, run]
-        H[run, k + 1, k] = np.linalg.norm(W, axis=1)
+            h[:, j] = np.einsum("ci,ci->c", V[j, run], W)
+            W -= h[:, j, None] * V[j, run]
+        h[:, k + 1] = np.linalg.norm(W, axis=1)
         iters += len(run)
-        going = np.ones(len(run), dtype=bool)
-        for i, c in enumerate(run):
-            e1 = np.zeros(k + 2)
-            e1[0] = beta[c]
-            y = np.linalg.lstsq(H[c, :k + 2, :k + 1], e1, rcond=None)[0]
-            if (k + 1 == m or H[c, k + 1, k] == 0.0
-                    or np.linalg.norm(H[c, :k + 2, :k + 1] @ y - e1) <= target[c]):
-                X[c] = y @ Z[:k + 1, c]
-                going[i] = False
-        run, W = run[going], W[going]
-        V[k + 1, run] = W / H[run, k + 1, k, None]
+        for j in range(k):                  # the earlier rotations
+            c, s = cs[run, j], sn[run, j]
+            h[:, j], h[:, j + 1] = c * h[:, j] + s * h[:, j + 1], c * h[:, j + 1] - s * h[:, j]
+        rho = np.hypot(h[:, k], h[:, k + 1])
+        cs[run, k], sn[run, k] = h[:, k] / rho, h[:, k + 1] / rho
+        h[:, k] = rho
+        R[run, :k + 1, k] = h[:, :k + 1]
+        g[run, k + 1] = -sn[run, k] * g[run, k]
+        g[run, k] *= cs[run, k]
+        done = (np.abs(g[run, k + 1]) <= target[run]) | (k + 1 == m)
+        if done.any():
+            # back substitution in the stopped columns' R y = g
+            st = run[done]
+            Rs, gs = R[st, :k + 1, :k + 1], g[st, :k + 1]
+            y = np.empty((len(st), k + 1))
+            for i in range(k, -1, -1):
+                tail = np.einsum("cj,cj->c", Rs[:, i, i + 1:], y[:, i + 1:])
+                y[:, i] = (gs[:, i] - tail) / Rs[:, i, i]
+            X[st] += np.einsum("ck,kcn->cn", y, Z[:k + 1, st])
+        # the rotations never touch h[:, k + 1], the Arnoldi normalization
+        going = ~done
+        run = run[going]
+        V[k + 1, run] = W[going] / h[going, k + 1, None]
     x = X.T.reshape(b.shape)
     miss = np.linalg.norm((A @ x - b).reshape(n, -1), axis=0)
     return x, iters, bool(np.all(miss <= target))

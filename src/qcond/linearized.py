@@ -11,6 +11,13 @@ reconstruction chain (it equals a(s, 0) K at q = 0).  Right-preconditioned
 GMRES is invariant when the preconditioner is scaled, so a(s, 0) needs
 no estimate.  A chain then factors nothing beyond that one LU per mesh,
 unless a block misses its target.
+
+Along a chain every node probes the same block of data while the
+operator changes a little, so the chain's earlier block solutions are
+recycled: each column starts from the least-squares combination of the
+same column of the last RECYCLE_DEPTH solutions, the projection start of
+Fischer (CMAME 163, 1998), the simplest form of Krylov recycling (Parks,
+de Sturler et al., SIAM J. Sci. Comput. 28, 2006).
 """
 
 from __future__ import annotations
@@ -30,6 +37,46 @@ from .geometry import Mesh
 # forward.KRYLOV_MAX_ITER iterations; on the first block that misses, the
 # operator factors its own interior block and solves directly from then on.
 LINEAR_RTOL = 1e-10
+# a chain's GMRES operators start from its latest RECYCLE_DEPTH block
+# solutions
+RECYCLE_DEPTH = 3
+
+
+def _recycled_start(A, rhs: np.ndarray, history) -> Optional[np.ndarray]:
+    """GMRES start for A x = rhs from earlier solutions of like blocks.
+
+    Column c starts from G y, G holding column c of the history blocks of
+    rhs's shape, newest first (blocks of another shape are ignored), and
+    y minimizing |rhs_c - A G y|: one Householder QR of [A G, rhs_c] per
+    column, batched over the columns, leaves y's triangular system in its
+    R.  Where R is singular to working precision y keeps only the blocks
+    before the first negligible pivot, since that leading block of R is
+    the QR of those blocks alone.  A node whose start met its target adds
+    a solution in the span of its history, so this is common; repeated
+    or zero blocks are the extreme cases, and a zero newest block gives
+    the start 0.  None when no block fits.
+    """
+    blocks = [G for G in reversed(history) if G.shape == rhs.shape][:RECYCLE_DEPTH]
+    if not blocks:
+        return None
+    n, d = len(rhs), len(blocks)
+    B = rhs.reshape(n, -1)
+    # [A G, rhs_c] for every column c as a (d + 1, n) slab: the matrix in
+    # the column-major layout LAPACK factors
+    M = np.empty((B.shape[1], d + 1, n))
+    for j, blk in enumerate(blocks):
+        M[:, j] = (A @ blk.reshape(n, -1)).T
+    M[:, d] = B.T
+    R = np.linalg.qr(M.transpose(0, 2, 1), mode="r")                 # (m, d + 1, d + 1)
+    diag = np.abs(R[:, np.arange(d), np.arange(d)])
+    # the rank tolerance of np.linalg.matrix_rank
+    big = diag > n * np.finfo(float).eps * diag.max(axis=1, keepdims=True)
+    kept = np.cumprod(big, axis=1).sum(axis=1)
+    y = np.zeros(diag.shape)
+    for k in np.unique(kept[kept > 0]):
+        c = kept == k
+        y[c, :k] = np.linalg.solve(R[c, :k, :k], R[c, :k, d, None])[..., 0]
+    return sum(blk.reshape(n, -1) * y[:, j] for j, blk in enumerate(blocks)).reshape(rhs.shape)
 
 
 class LinearizedOperator:
@@ -37,9 +84,12 @@ class LinearizedOperator:
 
     By default it factors its interior block and solves directly.  With
     ``krylov`` it solves by GMRES preconditioned with the mesh's Laplace
-    LU until a block misses LINEAR_RTOL.  ``factorizations`` counts the
-    LUs it made, ``krylov_iters`` its GMRES iterations summed over
-    columns.
+    LU until a block misses LINEAR_RTOL, each block started from
+    ``_recycled_start`` of the operator's history (empty unless given to
+    ``at_base``); ``solution`` then holds the latest interior block
+    solution, for the next operator's history.  ``factorizations``
+    counts the LUs it made, ``krylov_iters`` its GMRES iterations summed
+    over columns.
     """
 
     def __init__(self, mesh: Mesh, J_full, krylov: bool = False):
@@ -49,6 +99,7 @@ class LinearizedOperator:
         self._J_ib = self.J[:ni, ni:]
         self._J_b = self.J[ni:]
         self.factorizations = self.krylov_iters = 0
+        self._history, self.solution = (), None
         # GMRES solves on the interior block until the operator has its own LU
         self._A = self.J[:ni, :ni] if krylov else None
         self._lu = None if krylov else self._factor()
@@ -58,13 +109,17 @@ class LinearizedOperator:
         return factor_interior(self.mesh, self.J)
 
     @classmethod
-    def at_base(cls, cond: ConductivitySpec, base: DiscreteSolution) -> "LinearizedOperator":
+    def at_base(cls, cond: ConductivitySpec, base: DiscreteSolution,
+                history=()) -> "LinearizedOperator":
         """Operator at a converged base, solved by GMRES on the mesh's
-        Laplace LU.  A base that did not converge is outside the solvable
-        regime."""
+        Laplace LU and started from ``history``, earlier interior block
+        solutions oldest first (a chain's).  A base that did not converge
+        is outside the solvable regime."""
         if not base.converged:
             raise SolveError("at_base: base solution did not converge")
-        return cls(base.mesh, assemble_jacobian(cond, base.mesh, base.u), krylov=True)
+        op = cls(base.mesh, assemble_jacobian(cond, base.mesh, base.u), krylov=True)
+        op._history = tuple(history)
+        return op
 
     @classmethod
     def from_fields(cls, mesh: Mesh, M: np.ndarray, w: Optional[np.ndarray] = None) -> "LinearizedOperator":
@@ -76,11 +131,14 @@ class LinearizedOperator:
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         if self._lu is None:
             target = LINEAR_RTOL * np.linalg.norm(rhs.reshape(len(rhs), -1), axis=0)
-            x, k, met = _gmres(self._A, rhs, _laplace_factor(self.mesh)[0], target)
+            x, k, met = _gmres(self._A, rhs, _laplace_factor(self.mesh)[0], target,
+                               _recycled_start(self._A, rhs, self._history))
             self.krylov_iters += k
-            if met:
-                return x
-            self._A, self._lu = None, self._factor()
+            if not met:
+                self._A, self._lu = None, self._factor()
+                x = self._lu.solve(rhs)
+            self.solution = x
+            return x
         return self._lu.solve(rhs)
 
     def solve(self, h) -> np.ndarray:

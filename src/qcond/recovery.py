@@ -15,6 +15,7 @@ chain's record alone, in task order.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -25,7 +26,7 @@ from .barriers import JetRequest, check_regime, prescribe_jet
 from .conductivity import ConductivitySpec, _smoothstep, jet_radius
 from .forward import SolveError, _laplace_factor, solve_dirichlet
 from .geometry import BoundaryFrame, Mesh, boundary_frame_at
-from .linearized import LinearizedOperator
+from .linearized import RECYCLE_DEPTH, LinearizedOperator
 
 DEFAULT_LADDER = (8.0, 16.0, 32.0, 64.0)
 # a symbol fit is reliable when its linearity residual is below this;
@@ -347,14 +348,17 @@ def _walk_chain(cond: ConductivitySpec, mesh: Mesh, task: tuple, r_max: float,
 
     Each node's base (the constant-s solve at q = 0, else a jet warm-started
     from the previous base) gives a linearized operator and a symbol fit;
-    a failure becomes the node's status.  Returns (frame, q grid, D,
-    statuses, symbol rows), D = det + antisym^2 being NaN at failed nodes.
+    a failure becomes the node's status.  Every node probes the same
+    block, so each operator starts its GMRES from the chain's last
+    RECYCLE_DEPTH probe solutions.  Returns (frame, q grid, D, statuses,
+    symbol rows), D = det + antisym^2 being NaN at failed nodes.
     """
     s, theta = task
     frame = boundary_frame_at(mesh, theta)
     q_grid = np.linspace(0.0, r_max, n_radii + 1)
     D, status = np.full(len(q_grid), np.nan), ["ok"] * len(q_grid)
     symrows, t_hist, prev = [], [], None
+    probe_hist = deque(maxlen=RECYCLE_DEPTH)
     for k, qv in enumerate(q_grid):
         try:
             if qv == 0.0:
@@ -371,8 +375,9 @@ def _walk_chain(cond: ConductivitySpec, mesh: Mesh, task: tuple, r_max: float,
                 base = res.sol
             prev = base
             # solved by GMRES on the mesh's Laplace LU
-            op = LinearizedOperator.at_base(cond, base)
+            op = LinearizedOperator.at_base(cond, base, probe_hist)
             sym = extract_symbol(op.dn_flux, mesh, frame, taus)
+            probe_hist.append(op.solution)
             symrows.append((s, theta, float(qv), sym.real_slope, sym.imag_slope,
                             sym.fit_residual, sym.parity_residual))
             if not sym.reliable:

@@ -298,18 +298,25 @@ def test_cold_solve_steps_on_the_laplace_lu():
     assert sol.factorizations == 0 and sol.krylov_iters > 0
 
 
-def test_gmres_block_equals_its_columns():
-    # each column stops at its own target's first iteration, as it would
-    # alone; a zero column is solved by 0 in no iteration
+def _gmres_problem():
+    """A non-symmetric decay_mix Jacobian block, the Laplace LU, a random
+    block with a zero middle column and one target per column."""
     m = build_disk_mesh(1.0, 0.1)
     ni = m.n_interior
     u = 0.6 + m.vertices @ np.array([3.0, 4.0])
     A = assemble_jacobian(make_preset("decay_mix(0.2,0.05,0.1)"), m, u)[:ni, :ni]
-    lu = _laplace_factor(m)[0]
     B = np.random.default_rng(5).normal(size=(ni, 3))
     B[:, 1] = 0.0
     targets = np.array([1e-4, 1e-8, 1e-10]) * np.linalg.norm(B[:, 0])
-    X, total, met = _gmres(A, np.asfortranarray(B), lu, targets)
+    return A, _laplace_factor(m)[0], np.asfortranarray(B), targets
+
+
+def test_gmres_block_equals_its_columns():
+    # each column stops at its own target's first iteration, as it would
+    # alone; a zero column is solved by 0 in no iteration.  The same holds
+    # started from x0: the zero column then has work to do
+    A, lu, B, targets = _gmres_problem()
+    X, total, met = _gmres(A, B, lu, targets)
     iters = []
     for c in range(3):
         x, k, _ = _gmres(A, B[:, c], lu, targets[c])
@@ -318,6 +325,34 @@ def test_gmres_block_equals_its_columns():
     assert met and total == sum(iters) and iters[1] == 0 and iters[0] < iters[2]
     assert np.all(X[:, 1] == 0.0)
     assert np.linalg.norm(A @ X[:, 2] - B[:, 2]) <= targets[2]
+    # the Givens rotations change the arithmetic, not the Krylov space: the
+    # counts of the least-squares-per-iteration GMRES this replaced
+    assert iters == [2, 0, 5]
+    X0 = np.asfortranarray(np.random.default_rng(6).normal(size=B.shape) * 1e-2)
+    X, total, met = _gmres(A, B, lu, targets, X0)
+    iters = []
+    for c in range(3):
+        x, k, _ = _gmres(A, B[:, c], lu, targets[c], X0[:, c])
+        iters.append(k)
+        assert np.linalg.norm(X[:, c] - x) <= 1e-13 * max(np.linalg.norm(x), 1.0)
+    assert met and total == sum(iters) and min(iters) > 0
+    assert np.all(np.linalg.norm(A @ X - B, axis=0) <= targets)
+
+
+def test_gmres_start():
+    A, lu, B, targets = _gmres_problem()
+    X, total, _ = _gmres(A, B, lu, targets)
+    # a zero start is the cold call, bit for bit
+    X0, total0, met0 = _gmres(A, B, lu, targets, np.zeros_like(B))
+    assert met0 and total0 == total and X0.tobytes() == X.tobytes()
+    # a start that already meets its target comes back as it went in
+    Xs, k, met = _gmres(A, B, lu, targets, X)
+    assert met and k == 0 and Xs.tobytes() == X.tobytes()
+    # a start meeting one column's target leaves the others running
+    start = X.copy()
+    start[:, 2] = 0.0
+    Xs, k, met = _gmres(A, B, lu, targets, start)
+    assert met and k == 5 and np.all(Xs[:, :2] == X[:, :2])
 
 
 def test_newton_step_factors_when_the_laplace_lu_misses():

@@ -298,6 +298,20 @@ def test_unreadable_jet_batch_fails_its_stage(tmp_path):
         assert (out / "report.txt").exists() and not (out / "jets.csv").exists()
 
 
+def test_cli_check_runs_the_structural_stage_only(tmp_path):
+    # a valid jet batch in the config is work for `run`, not for `check`
+    from qcond.cli import main
+    batch = tmp_path / "jets.txt"
+    batch.write_text("jet 0.0 0.2 0.02 0.01 small\n")
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"conductivity = p_gauss(0.25)\nh = 0.2\njet_batch = {batch}\n")
+    out = tmp_path / "chk"
+    assert main(["check", str(cfgfile), "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text()
+    assert re.findall(r"^\[(?:PASS|FAIL)\] (\S+)", report, re.M) == ["structural"]
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
+
+
 def test_write_csv_schema(tmp_path):
     write_csv(tmp_path / "t.csv", ("a", "b"), [(1.0, "x"), (2.5, "y")])
     lines = (tmp_path / "t.csv").read_text().splitlines()

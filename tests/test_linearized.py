@@ -230,6 +230,41 @@ def test_block_solve_matches_columns(make_op):
     assert op.factorizations == (make_op is nonsymmetric_operator)
 
 
+def chain_pair(m):
+    """A p_gauss base and the interior probe solution of a neighbouring
+    base's operator, as at two consecutive nodes of a chain."""
+    th = boundary_angles(m)
+    first = LinearizedOperator.at_base(PG, solve_dirichlet(PG, m, 0.4 * np.cos(2 * th)))
+    first.dn_flux(probe_block(m))
+    return solve_dirichlet(PG, m, 0.4 * np.cos(2 * th) + 0.02 * np.sin(th)), first.solution
+
+
+@pytest.mark.parametrize("case", ["repeated", "zero", "zero newest", "other width"])
+def test_recycled_start_failure_paths(case):
+    # a degenerate history still meets LINEAR_RTOL by GMRES, with no
+    # exception and no LU: a singular least-squares system keeps the newest
+    # blocks before its first negligible pivot, and a block of another
+    # width is ignored
+    m = build_disk_mesh(1.0, 0.05)
+    base, sol = chain_pair(m)
+    zero = np.zeros_like(sol)
+    history = {"repeated": [sol, sol, sol], "zero": [zero, sol], "zero newest": [sol, zero],
+               "other width": [sol[:, :2]]}[case]
+    H = probe_block(m)
+    cold = LinearizedOperator.at_base(PG, base)
+    op = LinearizedOperator.at_base(PG, base, history)
+    V, ref = op.solve(H), cold.solve(H)
+    exact = LinearizedOperator(m, cold.J).solve(H)
+    assert op.factorizations == 0 and cold.factorizations == 0
+    assert op.solution.shape == sol.shape
+    assert np.linalg.norm(V - exact) <= 1e-9 * np.linalg.norm(exact)
+    if case in ("zero newest", "other width"):
+        # no usable block: the cold start, bit for bit
+        assert op.krylov_iters == cold.krylov_iters and bitwise_equal(V, ref)
+    else:
+        assert 0 < op.krylov_iters < cold.krylov_iters
+
+
 @pytest.mark.parametrize("make_op", [nonsymmetric_operator, decay_base_operator])
 def test_flux_coeffs_are_boundary_rows_of_full_product(make_op):
     m = build_disk_mesh(1.0, 0.05)

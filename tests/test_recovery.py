@@ -439,3 +439,34 @@ def test_reconstruct_records_jet_outside_bracket(monkeypatch, regime):
         assert re.fullmatch(r"jet: target normal slope \S+ outside achieved interval "
                             r"\[\S+, \S+\]", s.status), s.status
         assert np.isnan(s.a_hat) and s.rel_err is None
+
+
+# the a_hat of each chain below from probe blocks solved cold, before the
+# chain recycled its probe solutions
+COLD_START_A_HAT = {
+    "p_lorentz(0.2)": (1.2139977022147657, 1.213981118757949, 1.2139534906247418,
+                       1.2139148248933649, 1.213865131275128, 1.2138044272012658,
+                       1.2137327300435168, 1.2136500634994096),
+    "s_gauss(0.25)": (1.2428183424181063, 1.2428182975783246, 1.2428182632611744,
+                      1.242818239466128, 1.2428182261924439, 1.242818223438921,
+                      1.2428182312042848, 1.2428182494866582),
+}
+
+
+@pytest.mark.parametrize("model, cold_iters", [("p_lorentz(0.2)", 92), ("s_gauss(0.25)", 108)])
+def test_chain_recycles_its_probe_solutions(monkeypatch, model, cold_iters):
+    # every node of a chain probes the same block: started from the chain's
+    # last probe solutions, its operators take at most half the GMRES
+    # iterations of cold starts, for the same a_hat to well within 1e-9
+    from qcond.conductivity import make_preset
+    from qcond.linearized import LinearizedOperator
+    from qcond.recovery import reconstruct
+    ops, at_base = [], LinearizedOperator.at_base
+    monkeypatch.setattr(LinearizedOperator, "at_base",
+                        lambda *args: ops.append(at_base(*args)) or ops[-1])
+    grid = reconstruct(make_preset(model), build_disk_mesh(1.0, 0.05), (0.3,),
+                       PolarGrid(n_directions=1, n_radii=8))
+    assert len(ops) == 9 and sum(op.factorizations for op in ops) == 0
+    assert sum(op.krylov_iters for op in ops) <= cold_iters // 2
+    a_hat = np.array([smp.a_hat for smp in grid.samples])
+    np.testing.assert_allclose(a_hat, COLD_START_A_HAT[model], rtol=1e-9, atol=0)
