@@ -26,8 +26,9 @@ from .geometry import BoundaryFrame, Mesh, normalize_above_origin
 class Barrier:
     """Closed-form one-sided solution on the normalized domain.
 
-    kind "log":  s + p' y1 - A pn log(1 - y2/A)     (param = A)
-    kind "exp":  s + p' y1 + h pn (e^{y2/h} - 1)    (param = h)
+    s + p' y1 + pn phi(y2), with
+    kind "log":  phi = -A log(1 - y2/A)      (param = A)
+    kind "exp":  phi = h (e^{y2/h} - 1)      (param = h)
 
     Value s and gradient (p', pn) at the origin are exact.
     """
@@ -37,34 +38,34 @@ class Barrier:
     p_n: float
     param: float
 
+    def __post_init__(self):
+        if self.kind not in ("log", "exp"):
+            raise ValueError(f"barrier kind must be log or exp, got {self.kind!r}")
+
+    def _normal(self, y2):
+        """pn phi(y2) and its first two y2-derivatives.  The product
+        param pn is formed first: another order moves every jet's data by
+        roundoff."""
+        a, c = self.param, self.param * self.p_n
+        if self.kind == "log":
+            return -c * np.log1p(-y2 / a), c / (a - y2), c / (a - y2) ** 2
+        e = np.exp(y2 / a)
+        return c * np.expm1(y2 / a), self.p_n * e, (self.p_n / a) * e
+
     def value(self, y):
         y = np.asarray(y, dtype=float)
-        base = self.s + self.p_prime * y[..., 0]
-        if self.kind == "log":
-            A = self.param
-            return base - A * self.p_n * np.log1p(-y[..., 1] / A)
-        paramh = self.param
-        return base + paramh * self.p_n * np.expm1(y[..., 1] / paramh)
+        return self.s + self.p_prime * y[..., 0] + self._normal(y[..., 1])[0]
 
     def gradient(self, y):
         y = np.asarray(y, dtype=float)
         g = np.empty(y.shape)
         g[..., 0] = self.p_prime
-        if self.kind == "log":
-            A = self.param
-            g[..., 1] = A * self.p_n / (A - y[..., 1])
-        else:
-            g[..., 1] = self.p_n * np.exp(y[..., 1] / self.param)
+        g[..., 1] = self._normal(y[..., 1])[1]
         return g
 
     def hessian22(self, y):
         """Only the (2,2) entry is nonzero for either kind."""
-        y = np.asarray(y, dtype=float)
-        if self.kind == "log":
-            A = self.param
-            return A * self.p_n / (A - y[..., 1]) ** 2
-        paramh = self.param
-        return (self.p_n / paramh) * np.exp(y[..., 1] / paramh)
+        return self._normal(np.asarray(y, dtype=float)[..., 1])[2]
 
 
 def log_barrier(s: float, p_normalized, A: float) -> Barrier:
@@ -205,20 +206,14 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
         if np.linalg.norm(p) >= jr.pi:
             raise ValueError(f"jet outside the small-gradient radius: |p|="
                              f"{np.linalg.norm(p):.4g} >= pi(s)={jr.pi:.4g}")
-        bracket = jr.b1
-
-        def barrier(t):
-            return log_barrier(request.s, (p_t, t), jr.A)
+        bracket, kind, param = jr.b1, "log", jr.A
     else:
         if cond.decay_constant is None:
             raise ValueError("decay-regime request on a model without a decay constant")
         bracket = max(1.0, 1.5 * abs(p_n))
         # the step rule is applied once, at the bracket endpoint
-        C = float(cond.decay_constant)
-        h0 = exp_barrier(request.s, (p_t, bracket), C, diam=mesh.diameter).param
-
-        def barrier(t):
-            return exp_barrier(request.s, (p_t, t), C, h=h0)
+        kind, param = "exp", exp_barrier(request.s, (p_t, bracket), cond.decay_constant,
+                                         diam=mesh.diameter).param
 
     yb = iso.apply(mesh.vertices[mesh.boundary_loop])
     table = {}      # t -> (achieved normal slope - p_n, jet error, sol, achieved s, p)
@@ -229,7 +224,8 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
         nonlocal attempts, prev
         attempts += 1
         if t not in table:
-            prev = solve_dirichlet(cond, mesh, barrier(t).value(yb), warm_start=prev)
+            f = Barrier(kind, request.s, p_t, t, param).value(yb)
+            prev = solve_dirichlet(cond, mesh, f, warm_start=prev)
             s_a, p_a = boundary_jet_of(prev, frame)
             err = abs(s_a - request.s) + float(np.linalg.norm(p_a - p))
             table[t] = (float(-frame.nu @ p_a) - p_n, err, prev, s_a, p_a)

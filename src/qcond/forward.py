@@ -275,7 +275,8 @@ def _gmres(A: sp.spmatrix, b: np.ndarray, lu, target, x0: Optional[np.ndarray] =
     estimate reaches its target, or after KRYLOV_MAX_ITER, so a block
     solve equals its column-by-column solves up to roundoff.  Returns x,
     the iterations summed over the columns, and whether every column's
-    true residual |A x - b| meets its target.
+    true residual |A x - b| meets its target; only the columns that
+    iterated pay a product for it.
     """
     m = KRYLOV_MAX_ITER
     B = b.reshape(len(b), -1)
@@ -300,7 +301,7 @@ def _gmres(A: sp.spmatrix, b: np.ndarray, lu, target, x0: Optional[np.ndarray] =
     g[:, 0] = beta
     cs, sn = np.empty((ncol, m)), np.empty((ncol, m))
     iters = 0
-    run = np.flatnonzero(beta > target)
+    run = ran = np.flatnonzero(beta > target)
     V[0, run] = B[:, run].T / beta[run, None]
     for k in range(m):
         if not len(run):
@@ -338,7 +339,9 @@ def _gmres(A: sp.spmatrix, b: np.ndarray, lu, target, x0: Optional[np.ndarray] =
         run = run[going]
         V[k + 1, run] = W[going] / h[going, k + 1, None]
     x = X.T.reshape(b.shape)
-    miss = np.linalg.norm((A @ x - b).reshape(n, -1), axis=0)
+    miss = beta         # a column that took no iteration kept its start's residual
+    if len(ran):
+        miss[ran] = np.linalg.norm(A @ X[ran].T - b.reshape(n, -1)[:, ran], axis=0)
     return x, iters, bool(np.all(miss <= target))
 
 

@@ -117,11 +117,12 @@ def validate_config(cfg: RunConfig):
     if cfg.h <= 0 or cfg.radius <= 0 or cfg.h >= cfg.radius:
         raise ConfigError("mesh: need 0 < h < radius")
     try:
-        make_preset(cfg.conductivity)
+        cond = make_preset(cfg.conductivity)
     except ValueError as exc:
         raise ConfigError(f"conductivity: {exc}") from None
     try:
-        check_request(cfg.s_values, _polar_grid(cfg), cfg.regime, cfg.jobs)
+        check_request(cond, cfg.s_values, _polar_grid(cfg), cfg.regime, cfg.tau_ladder,
+                      cfg.jobs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     unknown = [s for s in cfg.stages if s not in RunConfig.stages]
@@ -130,8 +131,6 @@ def validate_config(cfg: RunConfig):
                           f"valid stages: {', '.join(RunConfig.stages)}")
     if cfg.structural_p_max <= 0:
         raise ConfigError("structural_p_max must be positive")
-    if not cfg.tau_ladder or any(t <= 0 for t in cfg.tau_ladder):
-        raise ConfigError("tau_ladder must be positive")
     if not cfg.convergence_h or any(not 0 < h < cfg.radius for h in cfg.convergence_h):
         raise ConfigError("convergence_h: need 0 < h < radius for each h")
     # the convergence stage fits an order through these sizes and h

@@ -60,6 +60,12 @@ def admissible_taus(mesh: Mesh, ladder: Sequence[float]) -> list:
     return [t for t in ladder if t <= cap]
 
 
+def _spans_an_octave(taus) -> bool:
+    """Whether the largest frequency is at least twice the smallest: the
+    slope fit of extract_symbol needs frequencies an octave apart."""
+    return len(taus) > 0 and max(taus) >= 2.0 * min(taus)
+
+
 def oscillatory_probe(mesh: Mesh, frame: BoundaryFrame, tau: float,
                       width: Optional[float] = None):
     """Windowed oscillation along the boundary, centered at the frame.
@@ -136,7 +142,7 @@ def extract_symbol(dn_eval: Callable, mesh: Mesh, frame: BoundaryFrame,
     taus = np.asarray(sorted(tau_list), dtype=float)
     if len(taus) < 2:
         raise ValueError("extract_symbol: need at least two admissible frequencies")
-    if taus[-1] < 2.0 * taus[0]:
+    if not _spans_an_octave(taus):
         raise ValueError("extract_symbol: frequency ladder spans less than one octave")
     hs, nsqs = zip(*(oscillatory_probe(mesh, frame, tau, probe_width(tau))
                      for tau in taus))
@@ -316,7 +322,8 @@ class RecoveryGrid:
                 "median_rel_err": float(np.median(errs)) if len(errs) else math.nan}
 
 
-def check_request(s_grid, grid: PolarGrid, regime: str, jobs: int):
+def check_request(cond: ConductivitySpec, s_grid, grid: PolarGrid, regime: str,
+                  tau_ladder: Sequence[float], jobs: int):
     """Raise ValueError unless a reconstruction can run on these inputs.
 
     These are all the rules on a request that need no mesh: reconstruct
@@ -340,6 +347,12 @@ def check_request(s_grid, grid: PolarGrid, regime: str, jobs: int):
     for name, value in (("r_max", grid.r_max), ("radius_fraction", grid.radius_fraction)):
         if value is not None and not value > 0:
             raise ValueError(f"{name} must be positive")
+    if not len(tau_ladder) or any(not tau > 0 for tau in tau_ladder):
+        raise ValueError("tau_ladder must be positive")
+    if not _spans_an_octave(tau_ladder):
+        raise ValueError("tau_ladder must span at least one octave")
+    if regime == "decay" and cond.decay_constant is None:
+        raise ValueError("decay-regime request on a model without a decay constant")
 
 
 def _walk_chain(cond: ConductivitySpec, mesh: Mesh, task: tuple, r_max: float,
@@ -433,9 +446,10 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
     against ``cond`` itself (``a_true``, ``rel_err``): a run reconstructs
     a known model.  The jet radius pi(s) is jet_radius's at pi1 = 1, N = 10.
     """
-    check_request(s_grid, grid, regime, jobs)
+    check_request(cond, s_grid, grid, regime, tau_ladder, jobs)
+    # the Nyquist cap may drop rungs until the rest span less than an octave
     taus = admissible_taus(mesh, tau_ladder)
-    if len(taus) < 2:
+    if not _spans_an_octave(taus):
         raise ValueError("mesh too coarse for the frequency ladder")
     thetas = 2.0 * math.pi * np.arange(grid.n_directions) / grid.n_directions
     tasks = [(float(s), float(th)) for s in s_grid for th in thetas]

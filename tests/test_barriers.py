@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qcond.barriers import (JetRequest, c2_surrogate_norm, exp_barrier, in_paraboloid,
-                            log_barrier, prescribe_jet, verify_one_sided)
+from qcond.barriers import (Barrier, JetRequest, c2_surrogate_norm, exp_barrier,
+                            in_paraboloid, log_barrier, prescribe_jet, verify_one_sided)
 from qcond.conductivity import (jet_radius, make_preset, preset_constant, preset_decay_mix,
                                 preset_p_gauss, preset_s_gauss, preset_sin_slope)
 from qcond.forward import boundary_jet_of, solve_dirichlet
@@ -41,6 +41,26 @@ def test_barrier_jet_exact(kind, params):
     assert np.linalg.norm(b.gradient(y) - fd_gradient(lambda z: b.value(z), y)) < 1e-6
     h22 = (b.gradient(y + [0, 1e-6])[1] - b.gradient(y - [0, 1e-6])[1]) / 2e-6
     assert abs(b.hessian22(y) - h22) < 1e-5
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["log", "exp"]), s=st.floats(-2.0, 2.0),
+       p_prime=st.floats(-3.0, 3.0), p_n=st.floats(-3.0, 3.0), param=st.floats(0.5, 4.0),
+       y1=st.floats(-1.0, 1.0), frac=st.floats(-0.5, 0.5),
+       bogus=st.text(max_size=4).filter(lambda k: k not in ("log", "exp")))
+def test_barrier_formulas_property(kind, s, p_prime, p_n, param, y1, frac, bogus):
+    # y2 = frac * param lies below the log barrier's pole at y2 = A
+    b = Barrier(kind, s, p_prime, p_n, param)
+    assert b.value(np.zeros(2)) == s
+    assert np.allclose(b.gradient(np.zeros(2)), (p_prime, p_n), rtol=1e-14, atol=1e-14)
+    y = np.array([y1, frac * param])
+    g, h22 = b.gradient(y), b.hessian22(y)
+    assert np.allclose(g, fd_gradient(b.value, y, 1e-5), rtol=1e-6, atol=1e-6)
+    e2 = np.array([0.0, 1e-4])
+    fd22 = (b.value(y + e2) - 2.0 * b.value(y) + b.value(y - e2)) / 1e-8
+    assert abs(h22 - fd22) <= 1e-5 * (1.0 + abs(h22))
+    with pytest.raises(ValueError, match="barrier kind must be log or exp"):
+        Barrier(bogus, s, p_prime, p_n, param)
 
 
 def test_exp_barrier_step_rule():

@@ -355,6 +355,37 @@ def test_gmres_start():
     assert met and k == 5 and np.all(Xs[:, :2] == X[:, :2])
 
 
+class _CountingMatrix:
+    """A matrix that counts its products."""
+
+    def __init__(self, A):
+        self.A, self.products = A, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.A @ x
+
+
+def test_gmres_checks_the_residual_of_iterated_columns_only():
+    # a start meeting every target costs its residual, one product: a
+    # column that took no iteration keeps that residual for the final check
+    A, lu, B, targets = _gmres_problem()
+    X, _, _ = _gmres(A, B, lu, targets)
+    counted = _CountingMatrix(A)
+    Xs, k, met = _gmres(counted, B, lu, targets, X)
+    assert met and k == 0 and counted.products == 1 and Xs.tobytes() == X.tobytes()
+    # one column left running: the start's residual, one product per
+    # iteration and the check of that column
+    start = X.copy()
+    start[:, 2] = 0.0
+    counted.products = 0
+    Xs, k, met = _gmres(counted, B, lu, targets, start)
+    assert met and k == 5 and counted.products == 1 + 5 + 1
+    # a miss is still reported: the check is a true residual, not the estimate
+    _, _, met = _gmres(counted, B, lu, targets * 1e-12, start)
+    assert not met
+
+
 def test_newton_step_factors_when_the_laplace_lu_misses():
     # a = 1 + s^2 ranges over [1, 2.69] on data up to |u| = 1.3, with the
     # drift 2 s grad u: too far from the Laplacian for GMRES to meet the

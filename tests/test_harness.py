@@ -83,6 +83,9 @@ MID_RUN_FAILURES = (
     (dict(conductivity="p_gauss(0.25, 1, 2)"),
      "^conductivity: conductivity preset 'p_gauss': too many positional arguments$"),
     (dict(conductivity="constant(0.5)"), r"^conductivity: constant preset needs c >= 1$"),
+    (dict(tau_ladder=(2.0, 3.0)), "^tau_ladder must span at least one octave$"),
+    (dict(conductivity="p_gauss(0.25)", regime="decay", r_max=1.0),
+     "^decay-regime request on a model without a decay constant$"),
 )
 
 
@@ -135,7 +138,7 @@ def test_run_validates_config_before_writing(tmp_path):
 def test_every_field_round_trips_through_parse_config():
     # each key is parsed by its field's type: a non-default value of that
     # type, written out, reads back with the same repr
-    values = dict(conductivity="p_lorentz(0.3)", regime="decay", radius=2.0, h=0.1,
+    values = dict(conductivity="sin_slope(1.5)", regime="decay", radius=2.0, h=0.1,
                   s_values=(0.5, -0.5), n_directions=3, n_radii=5, radius_fraction=0.5,
                   r_max=3.0, tau_ladder=(4.0, 8.0), structural_s_range=(-1.0, 1.0),
                   structural_p_max=1.5, convergence_h=(0.2, 0.1),

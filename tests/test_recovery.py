@@ -302,19 +302,6 @@ def test_invert_chain_status_rules(D, status, expect):
     assert [s.p[1] for s in samples] == list(np.linspace(0.0, 0.4, 5)[1:])
 
 
-def test_reconstruct_records_missing_decay_constant():
-    from qcond.conductivity import preset_p_gauss
-    from qcond.recovery import reconstruct
-    grid = reconstruct(preset_p_gauss(0.25), build_disk_mesh(1.0, 0.1), (0.0,),
-                       PolarGrid(n_directions=1, n_radii=3, r_max=1.0), regime="decay",
-                       tau_ladder=(2.0, 4.0))
-    assert len(grid.samples) == 3
-    for s in grid.samples:
-        assert s.status == ("ValueError: decay-regime request on a model without a "
-                            "decay constant")
-        assert np.isnan(s.a_hat) and s.rel_err is None
-
-
 def test_reconstruct_fit_residual_gate(monkeypatch):
     # with a zero threshold no fit is reliable: every node records its
     # fit residual and no sample is recovered
@@ -361,16 +348,30 @@ def test_reconstruct_rejects_fewer_than_two_admissible_frequencies():
      "^s_values must be non-empty$"),
     ((PolarGrid(n_directions=1, n_radii=2), {"jobs": 0}), "small",
      "^jobs must be at least 1$"),
+    # a slope needs two frequencies an octave apart, also below the
+    # Nyquist cap (about 8.4 on this mesh)
+    ((PolarGrid(n_directions=1, n_radii=2), {"tau_ladder": (2.0, 3.0)}), "small",
+     "^tau_ladder must span at least one octave$"),
+    ((PolarGrid(n_directions=1, n_radii=2), {"tau_ladder": (-4.0, 4.0)}), "small",
+     "^tau_ladder must be positive$"),
+    ((PolarGrid(n_directions=1, n_radii=2), {"tau_ladder": (2.0, 3.0, 64.0)}), "small",
+     "^mesh too coarse for the frequency ladder$"),
+    # exp barriers take their step from the model's decay constant
+    ((PolarGrid(n_directions=2, n_radii=3, r_max=1.0), {"cond": "p_gauss(0.25)"}), "decay",
+     "^decay-regime request on a model without a decay constant$"),
 ])
 def test_reconstruct_rejects_bad_requests_before_any_solve(grid, regime, cause):
-    # the mesh's solver state is never built
-    from qcond.conductivity import preset_decay_mix
+    # the mesh's solver state is never built; a "cond" option names the
+    # model's preset
+    from qcond.conductivity import make_preset
     from qcond.recovery import reconstruct
     grid, options = grid if isinstance(grid, tuple) else (grid, {})
+    options = {"cond": "decay_mix(0.2,0.05,0.1)", "s_grid": (0.0,), "tau_ladder": (2.0, 4.0),
+               **options}
     mesh = build_disk_mesh(1.0, 0.1)
     with pytest.raises(ValueError, match=cause):
-        reconstruct(preset_decay_mix(0.2, 0.05, 0.1), mesh, grid=grid, regime=regime,
-                    tau_ladder=(2.0, 4.0), **{"s_grid": (0.0,), **options})
+        reconstruct(mesh=mesh, grid=grid, regime=regime,
+                    **{**options, "cond": make_preset(options["cond"])})
     assert mesh._cache == {}
 
 
