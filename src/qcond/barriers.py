@@ -18,8 +18,10 @@ import numpy as np
 
 from .conductivity import (ConductivitySpec, evaluate_with_derivatives, jet_radius,
                            linearized_matrix)
-from .forward import DiscreteSolution, boundary_jet_of, solve_dirichlet
+from .forward import (DiscreteSolution, boundary_jet_of, normal_slope_derivative,
+                      solve_dirichlet)
 from .geometry import BoundaryFrame, Mesh, normalize_above_origin
+from .linearized import LinearizedOperator
 
 
 @dataclass(frozen=True)
@@ -176,23 +178,33 @@ class JetResult:
 
 def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
                   max_solves: int = 40, t_hint: Optional[float] = None,
-                  warm_start: Optional[DiscreteSolution] = None) -> JetResult:
+                  warm_start: Optional[DiscreteSolution] = None,
+                  linearization: Optional[LinearizedOperator] = None) -> JetResult:
     """Construct boundary data whose solution attains the requested jet.
 
     The data is the trace of the barrier with normal slope t (log, or exp
     with its step frozen), f_t = s + p' y1 + t g(y2) with g >= 0, so f_t
     is pointwise monotone in t and the achieved normal slope at the frame
     is monotone by the comparison principle.  From t_hint (else p_n) the
-    search walks with doubling steps towards the target slope until it
-    brackets it, stopping at the comparison bracket's edge (jet_radius's
-    B1 at pi1 = 1 for log barriers), where the family member is an exact
-    sub/supersolution; safeguarded regula falsi (Illinois) then closes the
-    bracket.  Every attempt at a t counts against ``max_solves``, a repeat
-    included, so a jet the mesh cannot resolve to tol fails with its jet
-    error at the best t tried; ``JetResult.solves`` counts distinct solves.
-    Each solve is warm-started from the previous one, the first from
-    ``warm_start`` (a solution on this mesh, such as the previous jet's
-    base), plus the harmonic extension of the data change.
+    search makes a first attempt; if it misses, it walks towards the
+    target slope until it brackets it, stopping at the comparison
+    bracket's edge (jet_radius's B1 at pi1 = 1 for log barriers), where
+    the family member is an exact sub/supersolution, and safeguarded
+    regula falsi (Illinois) then closes the bracket.  The walk's first
+    step is a Newton step in t: the achieved slope's derivative is the
+    linearized flux of g at the frame, through boundary_jet_of's relation
+    linearized at the first attempt's jet.  The flux comes from
+    ``linearization``, the operator at ``warm_start`` (a chain's, built
+    for probing), else from the operator at the first attempt's solution.
+    A flux or derivative of the wrong sign or not finite falls back to
+    the step max(|phi0|, 0.05 bracket); later steps double.  Every attempt
+    at a t counts against ``max_solves``, a repeat included, so a jet the
+    mesh cannot resolve to tol fails with its jet error at the best t
+    tried; ``JetResult.solves`` counts distinct solves, and the slope's
+    linearized solve is none.  Each solve is warm-started from the
+    previous one, the first from ``warm_start`` (a solution on this mesh,
+    such as the previous jet's base), plus the harmonic extension of the
+    data change.
     """
     frame = request.frame
     p = np.asarray(request.p, dtype=float)
@@ -246,9 +258,19 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
     if done or phi0 == 0.0:      # at phi0 = 0 no t improves the jet
         return finish(t0)
 
-    # walk downhill (achieved slope is monotone in t) to a sign change
+    # walk downhill (achieved slope is monotone in t) to a sign change,
+    # the first step a Newton step in t where its slope is usable
     d = -1.0 if phi0 > 0 else 1.0
-    step = max(abs(phi0), 0.05 * bracket)
+    _, _, sol0, s_a, p_a = table[t0]
+    op = (linearization if linearization is not None
+          else LinearizedOperator.at_base(cond, sol0))
+    g = Barrier(kind, 0.0, 0.0, 1.0, param).value(yb)      # d f_t / dt
+    dflux = op.dn_flux(g)
+    slope = -normal_slope_derivative(cond, mesh, frame, s_a, p_a, g, dflux)
+    # g >= 0 vanishes at the frame, so by comparison its linearized flux
+    # there is negative; a flux of another sign is no derivative
+    newton = dflux[frame.loop_pos] < 0 and np.isfinite(slope) and slope > 0
+    step = abs(phi0 / slope) if newton else max(abs(phi0), 0.05 * bracket)
     t, phi = t0, phi0
     while phi * phi0 > 0 and d * t < bracket and attempts < max_solves:
         t = max(-bracket, min(bracket, t + d * step))

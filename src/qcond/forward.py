@@ -482,6 +482,22 @@ def boundary_jet_of(sol: DiscreteSolution, frame: BoundaryFrame):
     return s, p_t * frame.tau + q * frame.nu
 
 
+def normal_slope_derivative(cond: ConductivitySpec, mesh: Mesh, frame: BoundaryFrame,
+                            s: float, p, dg: np.ndarray, dflux: np.ndarray) -> float:
+    """Derivative of boundary_jet_of's normal slope q at the jet (s, p)
+    along boundary data dg that vanishes at the frame, dflux being its
+    linearized flux pairings: with drho = dflux / the hat's arclength
+    mass and dp_t the tangential derivative of dg there, the relation
+    a(s, p) q = rho linearizes to
+    dq = (drho - q (grad_p a . tau) dp_t) / (a + q grad_p a . nu)."""
+    k = frame.loop_pos
+    drho = dflux[k] / mesh.vertex_weights[k]
+    dp_t = _tangential_derivative(mesh, dg, k)
+    a, _, gp = evaluate_with_derivatives(cond, s, p)
+    q = float(frame.nu @ p)
+    return float((drho - q * (gp @ frame.tau) * dp_t) / (a + q * (gp @ frame.nu)))
+
+
 def manufactured_solution(cond: ConductivitySpec):
     """(u*, source): u* = 0.1 sin(x1) e^{x2} and the forcing under which
     it solves div(a(u, grad u) grad u) = source; both take points (..., 2)."""

@@ -360,17 +360,18 @@ def _walk_chain(cond: ConductivitySpec, mesh: Mesh, task: tuple, r_max: float,
     """Measure chain task = (s, theta) node by node along q in [0, r_max].
 
     Each node's base (the constant-s solve at q = 0, else a jet warm-started
-    from the previous base) gives a linearized operator and a symbol fit;
-    a failure becomes the node's status.  Every node probes the same
-    block, so each operator starts its GMRES from the chain's last
-    RECYCLE_DEPTH probe solutions.  Returns (frame, q grid, D, statuses,
-    symbol rows), D = det + antisym^2 being NaN at failed nodes.
+    from the previous base, whose operator gives the jet its Newton slope)
+    gives a linearized operator and a symbol fit; a failure becomes the
+    node's status.  Every node probes the same block, so each operator
+    starts its GMRES from the chain's last RECYCLE_DEPTH probe solutions.
+    Returns (frame, q grid, D, statuses, symbol rows), D = det + antisym^2
+    being NaN at failed nodes.
     """
     s, theta = task
     frame = boundary_frame_at(mesh, theta)
     q_grid = np.linspace(0.0, r_max, n_radii + 1)
     D, status = np.full(len(q_grid), np.nan), ["ok"] * len(q_grid)
-    symrows, t_hist, prev = [], [], None
+    symrows, t_hist, prev, op = [], [], None, None
     probe_hist = deque(maxlen=RECYCLE_DEPTH)
     for k, qv in enumerate(q_grid):
         try:
@@ -380,16 +381,19 @@ def _walk_chain(cond: ConductivitySpec, mesh: Mesh, task: tuple, r_max: float,
                 t_hint = (t_hist[-1] + (t_hist[-1] - t_hist[-2]) if len(t_hist) >= 2
                           else t_hist[-1] if t_hist else None)
                 req = JetRequest(frame=frame, s=s, p=qv * frame.tau, regime=regime)
-                res = prescribe_jet(cond, mesh, req, t_hint=t_hint, warm_start=prev)
+                res = prescribe_jet(cond, mesh, req, t_hint=t_hint, warm_start=prev,
+                                    linearization=op)
                 if not res.ok:
                     status[k] = f"jet: {res.message}"
                     continue
                 t_hist.append(res.t_star)
                 base = res.sol
-            prev = base
-            # solved by GMRES on the mesh's Laplace LU
+            # solved by GMRES on the mesh's Laplace LU; the next jet starts
+            # from base with op, so the two are handed on together
             op = LinearizedOperator.at_base(cond, base, probe_hist)
+            prev = base
             sym = extract_symbol(op.dn_flux, mesh, frame, taus)
+            # before the next jet's slope solve overwrites op.solution
             probe_hist.append(op.solution)
             symrows.append((s, theta, float(qv), sym.real_slope, sym.imag_slope,
                             sym.fit_residual, sym.parity_residual))

@@ -2,7 +2,7 @@
 
 Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 metrics.  Criteria 10-12 drive the full measurement pipeline at
-production resolution: on a 2 vCPU host they take about 21, 2 and 12 s.
+production resolution: on a 2 vCPU host they take about 17, 2 and 8 s.
 """
 
 import math

@@ -237,6 +237,58 @@ def test_decay_jets_large_gradient():
         assert res.ok, res.message
         assert (abs(res.achieved_s - 0.3) + np.linalg.norm(res.achieved_p - p)
                 <= 1e-3 * (1 + np.linalg.norm(p)))
+        # a missed first attempt is followed by a Newton step that lands
+        assert res.solves <= 2
+
+
+# (t_star, solves) of the cold decay_mix jets above at |p| = 5 when the
+# walk's first step is max(|phi0|, 0.05 bracket), as without a usable slope
+WALK_JETS = {"tau": (-0.036271311995079124, 3), "-nu": (4.752487784790272, 3),
+             "0.6tau-0.8nu": (3.765088451583287, 3)}
+
+
+class _StubLinearization:
+    """Stands in for the operator at the warm start: a fixed flux for any data."""
+
+    def __init__(self, flux):
+        self.flux = flux
+
+    def dn_flux(self, h):
+        return np.full(np.shape(h), self.flux)
+
+
+def _decay_jets():
+    m = build_disk_mesh(1.0, 0.05)
+    fr = boundary_frame_at(m, 0.0)
+    for name, d in (("tau", fr.tau), ("-nu", -fr.nu), ("0.6tau-0.8nu", 0.6 * fr.tau - 0.8 * fr.nu)):
+        p = 5.0 * np.asarray(d) / np.linalg.norm(d)
+        yield name, m, JetRequest(frame=fr, s=0.3, p=p, regime="decay")
+
+
+@pytest.mark.parametrize("flux", [0.0, np.nan, 1e3], ids=["zeros", "nan", "wrong_sign"])
+def test_newton_step_falls_back_on_an_unusable_slope(flux):
+    # a linearized flux that is zero, not finite, or of the sign comparison
+    # forbids gives no Newton step: the walk steps as before, bitwise
+    for name, m, req in _decay_jets():
+        res = prescribe_jet(preset_decay_mix(), m, req, linearization=_StubLinearization(flux))
+        assert res.ok, res.message
+        assert (res.t_star, res.solves) == WALK_JETS[name]
+
+
+@pytest.mark.parametrize("flux", [None, 0.0, np.nan, 1e3],
+                         ids=["operator", "zeros", "nan", "wrong_sign"])
+def test_newton_step_keeps_the_attempt_budget(monkeypatch, flux):
+    # the slope's linearized solve is no Dirichlet solve; the attempts stay
+    # within max_solves whichever step the walk takes
+    import qcond.barriers as B
+    calls, solve = [], B.solve_dirichlet
+    monkeypatch.setattr(B, "solve_dirichlet",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    lin = None if flux is None else _StubLinearization(flux)
+    for _, m, req in _decay_jets():
+        calls.clear()
+        res = prescribe_jet(preset_decay_mix(), m, req, max_solves=2, linearization=lin)
+        assert len(calls) == res.solves <= 2
 
 
 def test_decay_request_needs_decay_constant():

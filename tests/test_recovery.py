@@ -471,3 +471,61 @@ def test_chain_recycles_its_probe_solutions(monkeypatch, model, cold_iters):
     assert sum(op.krylov_iters for op in ops) <= cold_iters // 2
     a_hat = np.array([smp.a_hat for smp in grid.samples])
     np.testing.assert_allclose(a_hat, COLD_START_A_HAT[model], rtol=1e-9, atol=0)
+
+
+# Dirichlet solves of the decay chain below when each missed jet walked on
+# with the first step max(|phi0|, 0.05 bracket): 3 for each of 8 jets
+WALK_DECAY_CHAIN_SOLVES = 26
+
+
+def test_decay_chain_lands_each_jet_on_its_second_solve(monkeypatch):
+    # every jet gets the operator at its warm start, which the chain built
+    # for probing; a missed first attempt takes a Newton step from it
+    import qcond.recovery as R
+    from qcond.conductivity import make_preset
+    from qcond.linearized import LinearizedOperator
+    built, jets = [], []
+    at_base, prescribe = LinearizedOperator.at_base, R.prescribe_jet
+    monkeypatch.setattr(LinearizedOperator, "at_base",
+                        lambda *args: built.append((args[1], at_base(*args))) or built[-1][1])
+    monkeypatch.setattr(R, "prescribe_jet", lambda *args, **kwargs: jets.append(
+        (kwargs["warm_start"], kwargs["linearization"], prescribe(*args, **kwargs))) or jets[-1][2])
+    grid = R.reconstruct(make_preset("decay_mix(0.2,0.05,0.1)"), build_disk_mesh(1.0, 0.05),
+                         (0.6,), PolarGrid(n_directions=2, n_radii=5, r_max=5.0),
+                         regime="decay")
+    assert all(smp.status == "ok" for smp in grid.samples)
+    operator_at = {id(base): op for base, op in built}
+    assert len(jets) == 10
+    for warm, lin, _ in jets:
+        assert lin is operator_at[id(warm)]
+    solves = [res.solves for *_, res in jets]
+    assert max(solves) <= 2 and sum(solves) < WALK_DECAY_CHAIN_SOLVES
+
+
+# the a_hat of a p_lorentz(0.2) chain (h=0.05, s=0.3, 8 radii)
+SMALL_CHAIN_A_HAT = (1.2139977022191308, 1.2139811187576153, 1.2139534906239395,
+                     1.2139148248924698, 1.2138651312717847, 1.2138044271945085,
+                     1.2137327300381167, 1.2136500634967737)
+
+
+def test_small_chain_makes_no_slope_solve(monkeypatch):
+    # every small-regime jet lands on its first attempt, so the only
+    # linearized fluxes are the probes: one dn_flux per extract_symbol
+    import qcond.recovery as R
+    from qcond.conductivity import make_preset
+    from qcond.linearized import LinearizedOperator
+    calls = {"flux": 0, "symbol": 0}
+    dn_flux, extract = LinearizedOperator.dn_flux, R.extract_symbol
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(LinearizedOperator, "dn_flux", counted("flux", dn_flux))
+    monkeypatch.setattr(R, "extract_symbol", counted("symbol", extract))
+    grid = R.reconstruct(make_preset("p_lorentz(0.2)"), build_disk_mesh(1.0, 0.05), (0.3,),
+                         PolarGrid(n_directions=1, n_radii=8))
+    assert calls == {"flux": 9, "symbol": 9}
+    assert tuple(smp.a_hat for smp in grid.samples) == SMALL_CHAIN_A_HAT
