@@ -11,7 +11,7 @@ scalar root-find over the barrier's normal-slope parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -96,10 +96,8 @@ def exp_barrier(s: float, p_normalized, C_decay: float,
 
 @dataclass
 class MarginReport:
-    """Pointwise one-sided margins of a barrier over triangle barycenters."""
+    """Least one-sided margin of a barrier over triangle barycenters."""
     min_margin: float
-    argmin: np.ndarray
-    margins: np.ndarray = field(repr=False)
 
     @property
     def ok(self) -> bool:
@@ -121,24 +119,12 @@ def verify_one_sided(cond: ConductivitySpec, barrier: Barrier, mesh_normalized: 
     aij = linearized_matrix(a, gp, du)
     expr = aij[:, 1, 1] * h22 + a_s * np.sum(du * du, axis=-1)
     sgn = 1.0 if barrier.p_n >= 0 else -1.0
-    margins = sgn * expr
-    i = int(np.argmin(margins))
-    return MarginReport(float(margins[i]), y[i].copy(), margins)
+    return MarginReport(float((sgn * expr).min()))
 
 
 def in_paraboloid(p_prime: float, p_n: float, b1: float, b2: float) -> bool:
     """Membership in the admissible set  |p'|^2 / B2 <= |pn| <= B1."""
     return p_prime * p_prime / b2 <= abs(p_n) <= b1
-
-
-def c2_surrogate_norm(mesh: Mesh, f_values: np.ndarray, s: float) -> float:
-    """Discrete stand-in for ||f - s||_{C^2}: the largest of the value,
-    first and second divided differences along the boundary."""
-    g = np.asarray(f_values, dtype=float) - s
-    el = mesh.edge_lengths
-    d1 = (np.roll(g, -1) - g) / el
-    d2 = 2.0 * (np.roll(d1, 0) - np.roll(d1, 1)) / (el + np.roll(el, 1))
-    return float(max(np.abs(g).max(), np.abs(d1).max(), np.abs(d2).max()))
 
 
 # "small" prescribes jets with log barriers inside the small-gradient
@@ -173,7 +159,6 @@ class JetResult:
     solves: int
     ok: bool
     message: str = ""
-    smallness: float = 0.0
 
 
 def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
@@ -250,8 +235,7 @@ def prescribe_jet(cond: ConductivitySpec, mesh: Mesh, request: JetRequest, *,
         if message is None and err > tol:
             message = f"jet error {err:.3e} > tol {tol:.3e}"
         return JetResult(sol=sol, achieved_s=s_a, achieved_p=p_a, t_star=t,
-                         solves=len(table), ok=message is None, message=message or "",
-                         smallness=c2_surrogate_norm(mesh, sol.f, request.s))
+                         solves=len(table), ok=message is None, message=message or "")
 
     t0 = float(np.clip(t_hint if t_hint is not None else p_n, -bracket, bracket))
     phi0, done = attempt(t0)

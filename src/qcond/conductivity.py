@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -133,29 +133,6 @@ def linearized_matrix(a, gp, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     sym = 0.5 * (gp[..., :, None] * p[..., None, :] + p[..., :, None] * gp[..., None, :])
     return np.asarray(a)[..., None, None] * np.eye(p.shape[-1]) + sym
-
-
-def rotate_conductivity(cond: ConductivitySpec, R: np.ndarray) -> ConductivitySpec:
-    """Pushforward by an orthogonal matrix: (R_* a)(s, p) = a(s, R^{-1} p).
-
-    Structural bounds are rotation invariant and carry over unchanged.
-    """
-    R = np.asarray(R, dtype=float)
-    if R.shape != (2, 2) or np.max(np.abs(R.T @ R - np.eye(2))) > 1e-12:
-        raise ValueError("rotate_conductivity: R is not orthogonal to 1e-12")
-    Rinv = R.T
-
-    def fn(s, p):
-        return cond.fn(s, p @ Rinv.T)
-
-    grad = None
-    if cond.grad is not None:
-        def grad(s, p):
-            a_s, gp = cond.grad(s, p @ Rinv.T)
-            # chain rule: d/dp a(s, R^T p) = R (grad_p a)(s, R^T p)
-            return a_s, gp @ R.T
-
-    return replace(cond, name=f"{cond.name}|rot", fn=fn, grad=grad)
 
 
 # ---------------------------------------------------------------------------

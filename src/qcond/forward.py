@@ -345,11 +345,23 @@ def _gmres(A: sp.spmatrix, b: np.ndarray, lu, target, x0: Optional[np.ndarray] =
     return x, iters, bool(np.all(miss <= target))
 
 
+def krylov_or_factor(mesh: Mesh, A: sp.spmatrix, b: np.ndarray, lu, target,
+                     x0: Optional[np.ndarray] = None):
+    """Solve the interior block system A x = b by ``_gmres`` preconditioned
+    with ``lu``, from ``x0``; on a miss of ``target``, factor A once and
+    solve directly.  Returns x, the GMRES iterations, and the LU to go on
+    with: ``lu``, or A's own after a miss."""
+    x, k, met = _gmres(A, b, lu, target, x0)
+    if not met:
+        lu = factor_interior(mesh, A)
+        x = lu.solve(b)
+    return x, k, lu
+
+
 def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
                     source: Optional[Callable] = None,
                     tol: float = 1e-10, max_iter: int = 50,
-                    warm_start: Optional[DiscreteSolution] = None,
-                    raise_on_fail: bool = True) -> DiscreteSolution:
+                    warm_start: Optional[DiscreteSolution] = None) -> DiscreteSolution:
     """Damped Newton solve of the quasilinear Dirichlet problem.
 
     Boundary data is imposed strongly.  The iteration starts from the
@@ -359,8 +371,7 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
     to f exactly.  It backtracks on the interior residual norm.  Each
     step is a Krylov step preconditioned by the mesh's Laplace LU (see
     KRYLOV_TARGET).  Non-convergence signals data outside the solvable
-    regime; it raises SolveError unless ``raise_on_fail`` is cleared, in
-    which case the partial state is returned with ``converged=False``.
+    regime and raises SolveError.
     """
     fb = boundary_values(mesh, f)
     ni = mesh.n_interior
@@ -385,13 +396,11 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
         if rnorm <= tol * scale + atol:
             break
         J = assemble_jacobian(cond, mesh, u)
-        b = -R[:ni]
-        du, k, met = _gmres(J[:ni, :ni], b, lu, KRYLOV_TARGET * (tol * scale + atol))
+        du, k, step_lu = krylov_or_factor(mesh, J[:ni, :ni], -R[:ni], lu,
+                                          KRYLOV_TARGET * (tol * scale + atol))
         krylov_iters += k
-        if not met:
-            lu = factor_interior(mesh, J)
-            factorizations += 1
-            du = lu.solve(b)
+        factorizations += step_lu is not lu
+        lu = step_lu
         alpha = 1.0
         for _ in range(12):
             u_try = u.copy()
@@ -404,35 +413,20 @@ def solve_dirichlet(cond: ConductivitySpec, mesh: Mesh, f,
         else:
             break  # no decrease at the smallest step: stop and report
         u, R, rnorm, scale = u_try, R_try, r_try, scale_try
-    converged = rnorm <= tol * scale + atol
-    if not converged and raise_on_fail:
+    if not rnorm <= tol * scale + atol:
         raise SolveError(f"Newton stalled after {it} iterations, "
                          f"residual {rnorm:.3e} vs scale {scale:.3e}")
     return DiscreteSolution(mesh=mesh, cond=cond, u=u, newton_iters=it,
-                            residual_norm=float(rnorm), converged=converged,
+                            residual_norm=float(rnorm), converged=True,
                             flux_coeffs=R[ni:], factorizations=factorizations,
                             krylov_iters=krylov_iters)
 
 
-@dataclass
-class FluxDensity:
-    """Boundary flux of a solution: a(u, grad u) du/dnu per unit arclength.
-
-    ``coeffs`` are the variational pairings against boundary hats (the
-    residual rows at boundary vertices); ``density`` divides by the hat
-    arclength masses.  Both follow boundary_loop order.
-    """
-    mesh: Mesh
-    coeffs: np.ndarray
-    density: np.ndarray
-
-    def total(self) -> float:
-        return float(self.coeffs.sum())
-
-
-def dn_map(sol: DiscreteSolution) -> FluxDensity:
-    """Boundary flux density of a converged solution (variational form)."""
-    return FluxDensity(sol.mesh, sol.flux_coeffs, sol.flux_coeffs / sol.mesh.vertex_weights)
+def dn_map(sol: DiscreteSolution) -> np.ndarray:
+    """Boundary flux density of a converged solution, a(u, grad u) du/dnu
+    per unit arclength in boundary_loop order: its variational flux
+    pairings divided by the boundary hats' arclength masses."""
+    return sol.flux_coeffs / sol.mesh.vertex_weights
 
 
 def _tangential_derivative(mesh: Mesh, values: np.ndarray, loop_pos: int) -> float:
@@ -456,10 +450,10 @@ def boundary_jet_of(sol: DiscreteSolution, frame: BoundaryFrame):
     normal slope q solves  a(s, p_t tau + q nu) q = flux density, a
     scalar equation that is strictly increasing in q by ellipticity.
     """
-    mesh = sol.mesh
+    mesh, k = sol.mesh, frame.loop_pos
     s = float(sol.u[frame.vertex])
-    p_t = _tangential_derivative(mesh, sol.f, frame.loop_pos)
-    rho = float(dn_map(sol).density[frame.loop_pos])
+    p_t = _tangential_derivative(mesh, sol.f, k)
+    rho = float(sol.flux_coeffs[k] / mesh.vertex_weights[k])
 
     def a_of(q):
         p = p_t * frame.tau + q * frame.nu

@@ -229,34 +229,6 @@ def build_disk_mesh(radius: float, h: float) -> Mesh:
     return _delaunay_mesh(points, n_outer, h, diameter=2.0 * radius)
 
 
-def build_polygon_mesh(n_sides: int, circumradius: float = 1.0, h: float = 0.1) -> Mesh:
-    """Triangulation of a regular polygon (testing domain)."""
-    if n_sides < 3:
-        raise ValueError("build_polygon_mesh: need at least 3 sides")
-    if not (0 < h < circumradius):
-        raise ValueError("build_polygon_mesh: need 0 < h < circumradius")
-    th = 2.0 * math.pi * np.arange(n_sides) / n_sides
-    corners = circumradius * np.stack([np.cos(th), np.sin(th)], axis=1)
-    side = np.linalg.norm(corners[1] - corners[0])
-    per_side = max(1, round(side / (0.75 * h)))
-    ring = []
-    for k in range(n_sides):
-        a, b = corners[k], corners[(k + 1) % n_sides]
-        for t in np.arange(per_side) / per_side:
-            ring.append((1 - t) * a + t * b)
-    ring = np.asarray(ring)
-    n_rings = max(2, round(circumradius / (0.75 * h)))
-    pts = [np.zeros((1, 2))]
-    for j in range(1, n_rings):
-        scale = j / n_rings
-        step = max(1, round(1.0 / scale))
-        pts.append(scale * ring[::step])
-    pts.append(ring)
-    points = np.concatenate(pts, axis=0)
-    dists = np.linalg.norm(corners[:, None, :] - corners[None, :, :], axis=-1)
-    return _delaunay_mesh(points, len(ring), h, diameter=float(dists.max()))
-
-
 @dataclass(frozen=True)
 class BoundaryFrame:
     """Boundary point with outward normal and tangent (tau = nu rotated +90)."""
@@ -331,22 +303,3 @@ def save_mesh(mesh: Mesh, path):
             f.write(f"t {i} {j} {k}\n")
         for (i, j), (nx, ny) in zip(mesh.boundary_edges, mesh.boundary_normals):
             f.write(f"b {i} {j} {float(nx)!r} {float(ny)!r}\n")
-
-
-def load_mesh(path) -> Mesh:
-    verts, tris, loop = [], [], []
-    h, diam = 0.0, 0.0
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "#":
-                h, diam = float(parts[2]), float(parts[4])
-            elif parts[0] == "v":
-                verts.append((float(parts[1]), float(parts[2])))
-            elif parts[0] == "t":
-                tris.append((int(parts[1]), int(parts[2]), int(parts[3])))
-            elif parts[0] == "b":
-                loop.append(int(parts[1]))
-    return Mesh(np.asarray(verts), np.asarray(tris), np.asarray(loop), h, diam)

@@ -25,11 +25,11 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .conductivity import ConductivitySpec
-from .forward import (DiscreteSolution, SolveError, _gmres, _laplace_factor, assemble_jacobian,
-                      assemble_linear, boundary_values, factor_interior, lift, solve_dirichlet)
+from .forward import (DiscreteSolution, SolveError, _laplace_factor, assemble_jacobian,
+                      assemble_linear, assemble_residual, boundary_values, factor_interior,
+                      krylov_or_factor, lift, solve_dirichlet)
 from .geometry import Mesh
 
 # A preconditioned solve must bring every column's interior residual
@@ -84,12 +84,12 @@ class LinearizedOperator:
 
     By default it factors its interior block and solves directly.  With
     ``krylov`` it solves by GMRES preconditioned with the mesh's Laplace
-    LU until a block misses LINEAR_RTOL, each block started from
-    ``_recycled_start`` of the operator's history (empty unless given to
-    ``at_base``); ``solution`` then holds the latest interior block
-    solution, for the next operator's history.  ``factorizations``
-    counts the LUs it made, ``krylov_iters`` its GMRES iterations summed
-    over columns.
+    LU until a block misses LINEAR_RTOL (``forward.krylov_or_factor``),
+    each block started from ``_recycled_start`` of the operator's history
+    (empty unless given to ``at_base``); ``solution`` then holds the
+    latest interior block solution, for the next operator's history.
+    ``factorizations`` counts the LUs it made, ``krylov_iters`` its GMRES
+    iterations summed over columns.
     """
 
     def __init__(self, mesh: Mesh, J_full, krylov: bool = False):
@@ -98,15 +98,12 @@ class LinearizedOperator:
         ni = mesh.n_interior
         self._J_ib = self.J[:ni, ni:]
         self._J_b = self.J[ni:]
-        self.factorizations = self.krylov_iters = 0
+        self.krylov_iters = 0
         self._history, self.solution = (), None
         # GMRES solves on the interior block until the operator has its own LU
         self._A = self.J[:ni, :ni] if krylov else None
-        self._lu = None if krylov else self._factor()
-
-    def _factor(self) -> spla.SuperLU:
-        self.factorizations += 1
-        return factor_interior(self.mesh, self.J)
+        self._lu = None if krylov else factor_interior(mesh, self.J)
+        self.factorizations = 0 if krylov else 1
 
     @classmethod
     def at_base(cls, cond: ConductivitySpec, base: DiscreteSolution,
@@ -129,17 +126,17 @@ class LinearizedOperator:
         return cls(mesh, assemble_linear(mesh, M, w))
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            target = LINEAR_RTOL * np.linalg.norm(rhs.reshape(len(rhs), -1), axis=0)
-            x, k, met = _gmres(self._A, rhs, _laplace_factor(self.mesh)[0], target,
-                               _recycled_start(self._A, rhs, self._history))
-            self.krylov_iters += k
-            if not met:
-                self._A, self._lu = None, self._factor()
-                x = self._lu.solve(rhs)
-            self.solution = x
-            return x
-        return self._lu.solve(rhs)
+        if self._lu is not None:
+            return self._lu.solve(rhs)
+        target = LINEAR_RTOL * np.linalg.norm(rhs.reshape(len(rhs), -1), axis=0)
+        laplace = _laplace_factor(self.mesh)[0]
+        x, k, lu = krylov_or_factor(self.mesh, self._A, rhs, laplace, target,
+                                    _recycled_start(self._A, rhs, self._history))
+        self.krylov_iters += k
+        if lu is not laplace:       # a miss: solve directly from now on
+            self._lu, self.factorizations = lu, self.factorizations + 1
+        self.solution = x
+        return x
 
     def solve(self, h) -> np.ndarray:
         """Nodal solution with boundary data h, real or complex: one
@@ -172,3 +169,18 @@ def fd_derivative_check(base: DiscreteSolution, op: LinearizedOperator, h, t_lis
         quot = (pert.u - base.u) / t
         rows.append((float(t), float(np.abs(quot - v).max())))
     return rows
+
+
+def jacobian_check(base: DiscreteSolution, op: LinearizedOperator):
+    """Relative max-norm errors of ``op.J v`` against the central
+    differences (R(u + eps v) - R(u - eps v)) / (2 eps) of the residual at
+    the base, along a fixed random nodal v, at eps = 1e-4 and 1e-5, and
+    whether they pass: the error is O(eps^2), so it must fall 50-fold
+    between the two unless it is below the 1e-9 roundoff floor."""
+    v = np.random.default_rng(0).standard_normal(len(base.u))
+    Jv = op.J @ v
+    errs = []
+    for eps in (1e-4, 1e-5):
+        Rp, Rm = (assemble_residual(base.cond, base.mesh, base.u + d * v)[0] for d in (eps, -eps))
+        errs.append(float(np.abs((Rp - Rm) / (2.0 * eps) - Jv).max() / np.abs(Jv).max()))
+    return errs, errs[0] >= 50.0 * errs[1] or errs[1] <= 1e-9

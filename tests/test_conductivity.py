@@ -9,7 +9,7 @@ from qcond.conductivity import (ConductivityError, ConductivitySpec, _smoothstep
                                 evaluate_with_derivatives, jet_radius, linearized_conductivity,
                                 make_preset, preset_constant, preset_decay_mix,
                                 preset_one_plus_s2, preset_p_gauss, preset_p_lorentz_tail,
-                                preset_s_gauss, preset_sin_slope, rotate_conductivity)
+                                preset_sin_slope)
 
 
 def test_constant_evaluation():
@@ -152,35 +152,6 @@ def test_jet_radius_monotone_in_bounds():
 
 def test_jet_radius_decay_sentinel():
     assert jet_radius(preset_decay_mix(), 0.0, 2.0).pi == math.inf
-
-
-def test_rotation_identity_and_invariance():
-    pg = preset_p_gauss(0.25)
-    rot = rotate_conductivity(pg, np.eye(2))
-    P = np.random.default_rng(1).normal(size=(20, 2))
-    assert np.allclose(rot(0.3, P), pg(0.3, P))
-    th = 1.1
-    R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    assert np.allclose(rotate_conductivity(pg, R)(0.3, P), pg(0.3, P))  # |p|-only model
-
-
-def test_rotation_quarter_turn():
-    spec = ConductivitySpec(
-        name="dir", fn=lambda s, p: 1.0 + 0.5 * p[..., 0] / (1.0 + np.linalg.norm(p, axis=-1)))
-    R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    rot = rotate_conductivity(spec, R)
-    assert abs(rot(0.0, np.array([0.0, 1.0])) - spec(0.0, np.array([1.0, 0.0]))) < 1e-15
-
-
-def test_rotation_round_trip_and_rejection():
-    pg = preset_s_gauss(0.25)
-    th = 0.7
-    R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    back = rotate_conductivity(rotate_conductivity(pg, R), R.T)
-    P = np.random.default_rng(2).normal(size=(30, 2))
-    assert np.max(np.abs(back(0.2, P) - pg(0.2, P))) < 1e-12
-    with pytest.raises(ValueError):
-        rotate_conductivity(pg, np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 def test_linearized_eigs_respect_floor_where_structural_passes():

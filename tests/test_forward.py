@@ -11,13 +11,13 @@ from qcond.barriers import JetRequest, prescribe_jet
 from qcond import forward
 from qcond.conductivity import (ConductivityError, ConductivitySpec, evaluate_with_derivatives,
                                 make_preset, preset_constant, preset_one_plus_s2,
-                                preset_p_gauss, preset_p_lorentz, rotate_conductivity)
+                                preset_p_gauss, preset_p_lorentz)
 from qcond.forward import (KRYLOV_MAX_ITER, SolveError, _gmres, _laplace_factor,
                            assemble_jacobian, assemble_linear, assemble_residual,
                            boundary_jet_of, coefficient_fields, dn_map, harmonic_extension,
                            load_vector, manufactured_solution, solve_dirichlet)
-from qcond.geometry import (Isometry, boundary_frame_at, build_disk_mesh, build_polygon_mesh,
-                            transform_mesh)
+from qcond.geometry import Isometry, boundary_frame_at, build_disk_mesh, transform_mesh
+from test_geometry import polygon_mesh
 
 C1 = preset_constant(1.0)
 PG = preset_p_gauss(0.25)
@@ -34,8 +34,7 @@ def test_constant_data_exact_for_state_dependent_model():
     m = build_disk_mesh(1.0, 0.1)
     sol = solve_dirichlet(preset_one_plus_s2(), m, np.full(len(m.boundary_loop), 0.7))
     assert np.abs(sol.u - 0.7).max() < 1e-12
-    flux = dn_map(sol)
-    assert np.abs(flux.density).max() < 1e-10
+    assert np.abs(dn_map(sol)).max() < 1e-10
 
 
 def test_manufactured_convergence_order():
@@ -54,9 +53,9 @@ def test_dn_map_harmonic_oracles():
     m = build_disk_mesh(1.0, 0.05)
     th = np.arctan2(m.vertices[m.boundary_loop, 1], m.vertices[m.boundary_loop, 0])
     sol = solve_dirichlet(C1, m, lambda x: x[:, 0])
-    assert np.abs(dn_map(sol).density - np.cos(th)).max() < 3.0 * m.h ** 2
+    assert np.abs(dn_map(sol) - np.cos(th)).max() < 3.0 * m.h ** 2
     sol2 = solve_dirichlet(C1, m, lambda x: x[:, 0] ** 2 - x[:, 1] ** 2)
-    assert np.abs(dn_map(sol2).density - 2.0 * np.cos(2.0 * th)).max() < 10.0 * m.h ** 2
+    assert np.abs(dn_map(sol2) - 2.0 * np.cos(2.0 * th)).max() < 10.0 * m.h ** 2
 
 
 def test_flux_conservation():
@@ -64,7 +63,7 @@ def test_flux_conservation():
     fb = 0.3 * np.sin(2 * np.arctan2(m.vertices[m.boundary_loop, 1],
                                      m.vertices[m.boundary_loop, 0]))
     sol = solve_dirichlet(PG, m, fb)
-    assert abs(dn_map(sol).total()) < 1e-9
+    assert abs(sol.flux_coeffs.sum()) < 1e-9
 
 
 @pytest.mark.parametrize("with_source", [False, True])
@@ -74,7 +73,7 @@ def test_dn_map_reads_the_converged_residual(with_source):
     sol = solve_dirichlet(PG, m, 0.3 * np.sin(2 * m.vertices[m.boundary_loop, 0]),
                           source=source)
     R, _ = assemble_residual(PG, m, sol.u, source)
-    assert np.array_equal(dn_map(sol).coeffs, R[m.boundary_loop])
+    assert np.array_equal(dn_map(sol), R[m.boundary_loop] / m.vertex_weights)
 
 
 def test_boundary_jet_of_assembles_no_residual(monkeypatch):
@@ -101,19 +100,24 @@ def test_comparison_principle_sample():
         assert np.all(u1 <= u2 + 1e-8)
 
 
-def test_newton_quadratic_tail():
+def test_newton_quadratic_tail(monkeypatch):
     # cos(2 theta) data: affine traces would solve gradient-only models exactly
     m = build_disk_mesh(1.0, 0.1)
     th = np.arctan2(m.vertices[m.boundary_loop, 1], m.vertices[m.boundary_loop, 0])
-    # the solve capped at k iterations reports the k-th Newton residual
-    hist = []
-    for k in range(20):
-        sol = solve_dirichlet(PG, m, np.cos(2 * th), tol=1e-13, max_iter=k,
-                              raise_on_fail=False)
-        if sol.residual_norm > 1e-14:
-            hist.append(sol.residual_norm)
-        if sol.converged:
-            break
+    # the interior residual of every iterate Newton assembles: with no
+    # backtracking, its history
+    norms = []
+    assemble = forward.assemble_residual
+
+    def recording(*args, **kw):
+        R, scale = assemble(*args, **kw)
+        norms.append(float(np.linalg.norm(R[:m.n_interior])))
+        return R, scale
+
+    monkeypatch.setattr(forward, "assemble_residual", recording)
+    sol = solve_dirichlet(PG, m, np.cos(2 * th), tol=1e-13)
+    assert len(norms) == sol.newton_iters
+    hist = [r for r in norms if r > 1e-14]
     assert len(hist) >= 3
     orders = [math.log(hist[i + 1] / hist[i]) / math.log(hist[i] / hist[i - 1])
               for i in range(1, len(hist) - 1) if hist[i] < hist[i - 1]]
@@ -126,8 +130,6 @@ def test_newton_failure_reported():
     th = np.arctan2(m.vertices[m.boundary_loop, 1], m.vertices[m.boundary_loop, 0])
     with pytest.raises(SolveError):
         solve_dirichlet(PG, m, np.cos(2 * th), max_iter=1)
-    sol = solve_dirichlet(PG, m, np.cos(2 * th), max_iter=1, raise_on_fail=False)
-    assert not sol.converged and sol.residual_norm > 0
 
 
 def reference_state(m, u):
@@ -176,7 +178,7 @@ def test_scatter_assembly_matches_coo_reference():
 
 KERNEL_MESHES = {"disk 0.2": lambda: build_disk_mesh(1.0, 0.2),
                  "disk 0.1": lambda: build_disk_mesh(1.0, 0.1),
-                 "hexagon 0.15": lambda: build_polygon_mesh(6, 1.0, 0.15)}
+                 "hexagon 0.15": lambda: polygon_mesh(6, 0.15)}
 
 
 @pytest.fixture(scope="module")
@@ -424,8 +426,13 @@ def test_isometry_invariance():
     m2 = transform_mesh(m, iso)
     fb = 0.4 * m.vertices[m.boundary_loop, 0] + 0.1
     sol = solve_dirichlet(PG, m, fb)
-    # rotated conductivity, pulled-back data on the moved mesh
-    cond2 = rotate_conductivity(PG, R)
+    # the pushforward (R_* a)(s, p) = a(s, R^T p), and the pulled-back data
+    # on the moved mesh
+    def grad(s, p):
+        a_s, gp = PG.grad(s, p @ R)
+        return a_s, gp @ R.T       # chain rule
+
+    cond2 = replace(PG, fn=lambda s, p: PG.fn(s, p @ R), grad=grad)
     sol2 = solve_dirichlet(cond2, m2, fb)
     assert np.abs(sol.u - sol2.u).max() < 1e-10
 

@@ -1,12 +1,18 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from qcond.conductivity import make_preset, preset_constant, preset_p_gauss, preset_s_gauss
 from qcond.forward import (KRYLOV_MAX_ITER, SolveError, assemble_jacobian, assemble_linear,
-                           factor_interior, harmonic_extension, solve_dirichlet)
+                           coefficient_fields, factor_interior, harmonic_extension,
+                           solve_dirichlet)
 from qcond.geometry import build_disk_mesh
-from qcond.linearized import LinearizedOperator, fd_derivative_check
+from qcond.linearized import (LinearizedOperator, _recycled_start, fd_derivative_check,
+                              jacobian_check)
 
 C1 = preset_constant(1.0)
 PG = preset_p_gauss(0.25)
@@ -78,13 +84,19 @@ def test_symmetry_at_constant_base():
 
 
 def test_stiffness_equals_newton_jacobian():
+    # the operator's J is the derivative of the residual; without the drift
+    # a_s grad u, a state-dependent model's J is not
     m = build_disk_mesh(1.0, 0.1)
-    base = solve_dirichlet(PG, m, 0.6 * np.cos(2 * boundary_angles(m)))
-    J_lin = LinearizedOperator.at_base(PG, base).J
-    J_fresh = assemble_jacobian(PG, m, base.u)
-    diff = (J_lin - J_fresh)
-    gap = np.abs(diff.data).max() if diff.nnz else 0.0
-    assert gap <= 1e-12
+    th = boundary_angles(m)
+    dm = make_preset("decay_mix(0.2,0.05,0.1)")
+    for cond, f in ((PG, 0.6 * np.cos(2 * th)), (dm, 0.6 + 0.3 * np.cos(th))):
+        base = solve_dirichlet(cond, m, f)
+        errs, ok = jacobian_check(base, LinearizedOperator.at_base(cond, base))
+        assert ok and errs[1] <= 1e-6, errs
+    # the last base is decay_mix's: its J without the drift fails the check
+    M = coefficient_fields(dm, m, base.u)[2]
+    errs, ok = jacobian_check(base, LinearizedOperator(m, assemble_linear(m, M), krylov=True))
+    assert not ok, errs
 
 
 def test_fd_derivative_check_first_order():
@@ -114,9 +126,7 @@ def test_fd_check_zero_direction():
 
 def test_at_base_rejects_unconverged_base():
     m = build_disk_mesh(1.0, 0.2)
-    base = solve_dirichlet(PG, m, np.cos(2 * boundary_angles(m)), max_iter=1,
-                           raise_on_fail=False)
-    assert not base.converged
+    base = replace(solve_dirichlet(PG, m, np.cos(2 * boundary_angles(m))), converged=False)
     with pytest.raises(SolveError, match="did not converge"):
         LinearizedOperator.at_base(PG, base)
 
@@ -237,6 +247,49 @@ def chain_pair(m):
     first = LinearizedOperator.at_base(PG, solve_dirichlet(PG, m, 0.4 * np.cos(2 * th)))
     first.dn_flux(probe_block(m))
     return solve_dirichlet(PG, m, 0.4 * np.cos(2 * th) + 0.02 * np.sin(th)), first.solution
+
+
+@functools.lru_cache(maxsize=None)
+def coarse_decay_block():
+    m = build_disk_mesh(1.0, 0.2)
+    return decay_jacobian(m)[:m.n_interior, :m.n_interior].tocsr()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 4), zero_col=st.booleans(),
+       kinds=st.lists(st.sampled_from(["random", "zero", "repeat", "other", "near"]),
+                      max_size=6))
+def test_recycled_start_property(seed, width, zero_col, kinds):
+    # y = 0 is feasible, so no column starts worse than cold, whatever the
+    # history; and a block starts each column as that column alone would
+    A = coarse_decay_block()
+    n = A.shape[0]
+    rng = np.random.default_rng(seed)
+    rhs = rng.normal(size=(n, width))
+    if zero_col:
+        rhs[:, -1] = 0.0
+    exact = spla.spsolve(A.tocsc(), rhs).reshape(n, width)
+    history = []
+    for kind in kinds:
+        if kind == "repeat" and history:
+            history.append(history[rng.integers(len(history))])
+        elif kind == "zero":
+            history.append(np.zeros((n, width)))
+        elif kind == "other":
+            history.append(rng.normal(size=(n, width + 1)))
+        elif kind == "near":
+            history.append(exact + 1e-3 * rng.normal(size=(n, width)))
+        else:
+            history.append(rng.normal(size=(n, width)))
+    x0 = _recycled_start(A, rhs, history)
+    if x0 is None:
+        assert all(G.shape != rhs.shape for G in history)
+        return
+    start = np.linalg.norm(rhs - A @ x0, axis=0)
+    assert np.all(start <= (1.0 + 1e-12) * np.linalg.norm(rhs, axis=0)), start
+    for c in range(width):
+        col = _recycled_start(A, rhs[:, c], [G[:, c] for G in history if G.shape == rhs.shape])
+        assert bitwise_equal(x0[:, c], col)
 
 
 @pytest.mark.parametrize("case", ["repeated", "zero", "zero newest", "other width"])
