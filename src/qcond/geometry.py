@@ -1,9 +1,10 @@
 """2D computational domains: triangulation, boundary frames, isometries.
 
 Meshes are plain P1 triangulations.  The disk is the primary domain: its
-boundary vertices sit exactly on the circle and every tangent direction
-is available as a boundary frame, which is how the direction sweep of
-the recovery pipeline is realized without re-meshing.
+Delaunay triangulation is built ring by ring, with no general point-set
+triangulator, its boundary vertices sit exactly on the circle, and every
+tangent direction is available as a boundary frame, which is how the
+direction sweep of the recovery pipeline is realized without re-meshing.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 
 class Mesh:
@@ -28,7 +28,7 @@ class Mesh:
     once, and ``reconstruct`` fills the forward solver's before any chain
     starts, so chains only read the mesh.  Vertices are numbered in
     solver order, interior first, so interior and boundary blocks are
-    slices.
+    slices; builders list triangles by smallest, then largest, vertex.
 
     Attributes
     ----------
@@ -170,63 +170,63 @@ def _nested_dissection(vertices, triangles, n_interior: int):
     return order, node
 
 
-def _delaunay_mesh(points, boundary_count, h, diameter):
-    """Triangulate a convex point cloud whose last ring is the boundary,
-    and number its vertices in solver order: the interior vertices in
-    nested-dissection order, then the boundary loop CCW."""
-    tri = Delaunay(points)
-    simplices = tri.simplices.copy()
-    v = points[simplices]
-    det = ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
-           - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0]))
-    flip = det < 0
-    simplices[flip] = simplices[flip][:, [0, 2, 1]]
-    keep = np.abs(det) > 1e-12 * h * h
-    simplices = simplices[keep]
-
-    hull = set(map(tuple, np.sort(tri.convex_hull, axis=1)))
-    # boundary vertices are the trailing block of `points`
-    first_b = len(points) - boundary_count
-    loop = np.arange(first_b, len(points))
-    # order the loop CCW by angle around the centroid
-    c = points[loop].mean(axis=0)
-    ang = np.arctan2(points[loop, 1] - c[1], points[loop, 0] - c[0])
-    loop = loop[np.argsort(ang)]
-    # sanity: hull edges must connect consecutive loop vertices
-    loop_edges = set(map(tuple, np.sort(np.stack([loop, np.roll(loop, -1)], axis=1), axis=1)))
-    if hull != loop_edges:
-        raise RuntimeError("triangulation boundary does not match the boundary ring")
-    perm = np.concatenate([_nested_dissection(points, simplices, first_b)[0], loop])
+def _solver_mesh(points, triangles, loop, h, diameter) -> Mesh:
+    """The mesh of a positively oriented triangulation whose boundary
+    ``loop`` (CCW) is the trailing block of ``points``, numbered in solver
+    order: the interior vertices in nested-dissection order, then the
+    loop.  Triangles are listed by smallest, then largest, vertex, so the
+    P1 kernels scatter in nearly sorted order."""
+    first_b = len(points) - len(loop)
+    perm = np.concatenate([_nested_dissection(points, triangles, first_b)[0], loop])
     number = np.empty(len(points), dtype=int)
     number[perm] = np.arange(len(points))
-    # a (T, 3) view of (3, T) rows, the layout the mesh stores, is not copied
-    tri_t = number[np.ascontiguousarray(simplices.T)]
-    return Mesh(points[perm], tri_t.T, np.arange(first_b, len(points)), h, diameter)
+    tri = number[triangles]
+    tri = tri[np.lexsort((tri.max(axis=1), tri.min(axis=1)))]
+    return Mesh(points[perm], tri, np.arange(first_b, len(points)), h, diameter)
 
 
 def build_disk_mesh(radius: float, h: float) -> Mesh:
-    """Quasi-uniform triangulation of a disk.
+    """Delaunay triangulation of a disk, built ring by ring.
 
-    Vertices are arranged on concentric rings with spacing ~0.75 h (the
-    finer constant keeps the boundary resolved for high-frequency
-    probes); the outer ring lies exactly on the circle.
+    Vertices are the centre and concentric rings with spacing ~0.75 h
+    (the finer constant keeps the boundary resolved for high-frequency
+    probes), odd rings offset by half a step; the outer ring lies exactly
+    on the circle.  Two chords of consecutive rings are cocircular exactly
+    when their mid-angles coincide, and the in-circle test changes sign as
+    they cross, so each chord's triangle takes the other ring's vertex
+    whose angular cell holds its mid-angle: chord c of an n-point ring
+    with offset parity q sits at 2 pi (2c + 1 + q) / (2n), compared as
+    integers.  On a tie both diagonals are Delaunay; the inner chord goes
+    first.  The centre fans out to ring 1.
     """
     if not (0 < h < radius):
         raise ValueError("build_disk_mesh: need 0 < h < radius")
     spacing = 0.75 * h
     n_rings = max(2, round(radius / spacing))
     n_outer = max(12, int(math.ceil(2.0 * math.pi * radius / spacing)))
-    pts = [np.zeros((1, 2))]
+    pts, tris, first = [np.zeros((1, 2))], [], 1
     for j in range(1, n_rings + 1):
+        n = n_outer if j == n_rings else max(6, round(n_outer * j / n_rings))
         r = radius * j / n_rings
-        n_j = max(6, round(n_outer * j / n_rings))
-        if j == n_rings:
-            n_j = n_outer
-        off = 0.5 * (j % 2) * 2.0 * math.pi / n_j
-        th = off + 2.0 * math.pi * np.arange(n_j) / n_j
+        th = 0.5 * (j % 2) * 2.0 * math.pi / n + 2.0 * math.pi * np.arange(n) / n
         pts.append(np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
-    points = np.concatenate(pts, axis=0)
-    return _delaunay_mesh(points, n_outer, h, diameter=2.0 * radius)
+        ring = first + np.arange(n)         # CCW
+        if j == 1:
+            tris.append(np.stack([np.zeros(n, dtype=int), ring, np.roll(ring, -1)], axis=1))
+        else:
+            # chord mid-angles of the inner ring and this one, in units of pi / (m n)
+            k_in = (2 * np.arange(m) + 1 + (j - 1) % 2) * n
+            k_out = (2 * np.arange(n) + 1 + j % 2) * m
+            tris.append(np.stack([np.roll(inner, -1), inner,
+                                  ring[np.searchsorted(k_out, k_in) % n]], axis=1))
+            tris.append(np.stack([ring, np.roll(ring, -1),
+                                  inner[np.searchsorted(k_in, k_out, side="right") % m]], axis=1))
+        inner, m, first = ring, n, first + n
+    points = np.concatenate(pts)
+    # the loop starts where the angle around the ring's centroid wraps past pi
+    xy = points[ring] - points[ring].mean(axis=0)
+    loop = np.roll(ring, -int(np.argmin(np.arctan2(xy[:, 1], xy[:, 0]))))
+    return _solver_mesh(points, np.concatenate(tris), loop, h, diameter=2.0 * radius)
 
 
 @dataclass(frozen=True)

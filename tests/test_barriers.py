@@ -243,8 +243,8 @@ def test_decay_jets_large_gradient():
 
 # (t_star, solves) of the cold decay_mix jets above at |p| = 5 when the
 # walk's first step is max(|phi0|, 0.05 bracket), as without a usable slope
-WALK_JETS = {"tau": (-0.036271311995079124, 3), "-nu": (4.752487784790272, 3),
-             "0.6tau-0.8nu": (3.765088451583287, 3)}
+WALK_JETS = {"tau": (-0.03627158709008592, 3), "-nu": (4.752487972643858, 3),
+             "0.6tau-0.8nu": (3.765088223741385, 3)}
 
 
 class _StubLinearization:

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from qcond import geometry
 from qcond.geometry import (Isometry, Mesh, boundary_frame_at, build_disk_mesh,
@@ -9,8 +14,9 @@ from qcond.geometry import (Isometry, Mesh, boundary_frame_at, build_disk_mesh,
 
 
 def polygon_mesh(n_sides: int, h: float) -> Mesh:
-    """Regular polygon of circumradius 1, triangulated from shrunken copies
-    of its boundary ring: the non-disk domain of the mesh and P1 tests."""
+    """Regular polygon of circumradius 1, triangulated by qhull from shrunken
+    copies of its boundary ring: the non-disk domain of the mesh and P1
+    tests."""
     th = 2.0 * math.pi * np.arange(n_sides) / n_sides
     corners = np.stack([np.cos(th), np.sin(th)], axis=1)
     per_side = max(1, round(np.linalg.norm(corners[1] - corners[0]) / (0.75 * h)))
@@ -23,8 +29,20 @@ def polygon_mesh(n_sides: int, h: float) -> Mesh:
         scale = j / n_rings
         pts.append(scale * ring[::max(1, round(1.0 / scale))])
     pts.append(ring)
+    points = np.concatenate(pts)
+    tri = Delaunay(points).simplices
+    # positively oriented, and no sliver along a side's collinear points
+    det = _orientation(points[tri])
+    tri = np.where((det < 0)[:, None], tri[:, [0, 2, 1]], tri)[np.abs(det) > 1e-12 * h * h]
     dists = np.linalg.norm(corners[:, None, :] - corners[None, :, :], axis=-1)
-    return geometry._delaunay_mesh(np.concatenate(pts), len(ring), h, float(dists.max()))
+    loop = np.arange(len(points) - len(ring), len(points))
+    return geometry._solver_mesh(points, tri, loop, h, float(dists.max()))
+
+
+def _orientation(v):
+    """Twice the signed area of each triangle of corner rows v, (T, 3, 2)."""
+    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
 
 def load_mesh(path) -> Mesh:
@@ -54,6 +72,45 @@ def test_disk_mesh_quality():
     assert m.diameter == 2.0
     # no hanging vertices
     assert set(range(len(m.vertices))) == set(m.triangles.ravel())
+
+
+def _circumcircle(v):
+    """Centres (T, 2) and radii (T,) of the circles through corner rows v."""
+    a, b, c = v[:, 0], v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+    o = np.stack([c[:, 1] * bb - b[:, 1] * cc, b[:, 0] * cc - c[:, 0] * bb], axis=1) / d[:, None]
+    return a + o, np.linalg.norm(o, axis=1)
+
+
+@pytest.mark.parametrize("h", [0.5, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05, 0.025])
+def test_disk_mesh_is_delaunay(h):
+    m = build_disk_mesh(1.0, h)
+    v, tri, loop = m.vertices, m.triangles, m.boundary_loop
+    assert np.all(_orientation(v[tri]) > 0)
+    ours = set(map(tuple, np.sort(tri, axis=1)))
+    edges = lambda ts: {e for t in ts for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))}
+    assert len(v) - len(edges(ours)) + len(tri) == 1
+    # the loop is the outer ring, CCW from where its angle wraps past pi
+    assert np.array_equal(np.flatnonzero(np.linalg.norm(v, axis=1) > 1.0 - 1e-12), loop)
+    assert np.all(np.diff(np.arctan2(v[loop, 1], v[loop, 0])) > 0)
+    # every interior edge is locally Delaunay: the vertex across it lies on
+    # or outside the circumcircle of the triangle on this side
+    far = {(i, j): k for t in tri.tolist() for i, j, k in (t, t[1:] + t[:1], t[2:] + t[:2])}
+    i, j, k, l = np.array([(i, j, k, far[j, i]) for (i, j), k in far.items() if (j, i) in far]).T
+    centre, radius = _circumcircle(v[np.stack([i, j, k], axis=1)])
+    assert np.all(np.linalg.norm(v[l] - centre, axis=1) >= radius * (1.0 - 1e-9))
+    # qhull on the same points gives the same triangles, but where a quad's
+    # four points are cocircular: there both diagonals are Delaunay
+    qhull = set(map(tuple, np.sort(Delaunay(v).simplices, axis=1)))
+    ours_only, qhull_only = edges(ours) - edges(qhull), edges(qhull) - edges(ours)
+    assert len(ours - qhull) == len(qhull - ours) == 2 * len(ours_only) == 2 * len(qhull_only)
+    assert all(edges([t]) & ours_only for t in ours - qhull)
+    for i, j in ours_only:
+        k, l = far[i, j], far[j, i]
+        assert (min(k, l), max(k, l)) in qhull_only
+        centre, radius = _circumcircle(v[[[i, j, k]]])
+        assert abs(np.linalg.norm(v[l] - centre[0]) - radius[0]) <= 1e-9 * radius[0]
 
 
 def test_disk_mesh_area_converges():
@@ -247,3 +304,15 @@ def test_mesh_numbers_interior_first(build, tmp_path):
                  np.arange(ni - 1, n - 1)):
         with pytest.raises(ValueError, match="trailing block"):
             Mesh(m.vertices, m.triangles, loop, m.h, m.diameter)
+
+
+def test_import_leaves_out_spatial_and_special():
+    # the mesh is built without qhull, so importing the package and its
+    # CLI does not pay for scipy.spatial, nor for the scipy.special it loads
+    code = ("import sys, qcond, qcond.cli; print(sorted({m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'spatial'], ['scipy', 'special'])}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

@@ -265,6 +265,16 @@ def test_reconstruct_names_the_cause_of_a_short_prefix():
     assert all(np.isnan(s.a_hat) and s.rel_err is None for s in grid.samples)
 
 
+def _invert_synthetic(q, D, status):
+    """_invert_chain of a walk record of constant(1) along e2 at s = 0."""
+    from qcond.conductivity import preset_constant
+    from qcond.geometry import BoundaryFrame
+    from qcond.recovery import _invert_chain
+    frame = BoundaryFrame(x0=np.array([1.0, 0.0]), nu=np.array([1.0, 0.0]),
+                          tau=np.array([0.0, 1.0]), theta=0.0, vertex=0, loop_pos=0)
+    return _invert_chain(preset_constant(1.0), (0.0, 0.0), frame, q, D, status)
+
+
 _JET, _STALL = "jet: target normal slope 2 outside achieved interval [0, 1]", "SolveError: x"
 _BROKEN = "skipped: radial chain broken earlier"
 _NEGATIVE = "integration: nonpositive determinant measurement D; inversion invalid"
@@ -285,14 +295,8 @@ _NEGATIVE = "integration: nonpositive determinant measurement D; inversion inval
 ], ids=["all_ok", "break_at_3", "break_at_3_then_fail", "break_at_2", "negative_D"])
 def test_invert_chain_status_rules(D, status, expect):
     # synthetic walk records of constant(1), where D = 1 inverts to a = 1
-    from qcond.conductivity import preset_constant
-    from qcond.geometry import BoundaryFrame
-    from qcond.recovery import _invert_chain
-    frame = BoundaryFrame(x0=np.array([1.0, 0.0]), nu=np.array([1.0, 0.0]),
-                          tau=np.array([0.0, 1.0]), theta=0.0, vertex=0, loop_pos=0)
     D = np.array([np.nan if d is None else d for d in D], dtype=float)
-    samples = _invert_chain(preset_constant(1.0), (0.0, 0.0), frame,
-                            np.linspace(0.0, 0.4, 5), D, status)
+    samples = _invert_synthetic(np.linspace(0.0, 0.4, 5), D, status)
     assert [s.status for s in samples] == expect
     for s in samples:
         assert np.isfinite(s.a_hat) == (s.status == "ok")
@@ -300,6 +304,42 @@ def test_invert_chain_status_rules(D, status, expect):
         if s.status == "ok":
             assert abs(s.a_hat - 1.0) < 1e-12
     assert [s.p[1] for s in samples] == list(np.linspace(0.0, 0.4, 5)[1:])
+
+
+# a walked node: NaN with its failure cause, or a measured D, positive or not
+_NODE = st.one_of(st.sampled_from([_JET, _STALL]).map(lambda cause: (np.nan, cause)),
+                  st.floats(-2.0, 0.0).map(lambda d: (d, "ok")),
+                  st.floats(0.1, 4.0).map(lambda d: (d, "ok")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes=st.lists(_NODE, min_size=2, max_size=12))
+def test_invert_chain_status_property(nodes):
+    # no PDE solve: synthetic walk records of constant(1)
+    D = np.array([d for d, _ in nodes])
+    status = [cause for _, cause in nodes]
+    q = np.linspace(0.0, 0.1 * len(nodes), len(nodes))
+    samples = _invert_synthetic(q, D, list(status))
+    assert len(samples) == len(nodes) - 1
+    assert all(np.isfinite(smp.a_hat) == (smp.status == "ok") for smp in samples)
+    prefix = next((k for k, d in enumerate(D) if np.isnan(d)), len(D))
+    # only the prefix before the first failure is inverted, and only when
+    # it holds 3 or more nodes; an inversion failure marks that prefix only
+    if prefix < 3:
+        head = ["skipped: fewer than 3 nodes before the first failure"] * (prefix - 1)
+    elif np.any(D[:prefix] <= 0):
+        head = [_NEGATIVE] * (prefix - 1)
+    else:
+        try:
+            a_hat = radial_integration_recovery(q[:prefix], D[:prefix])
+        except RecoveryError as exc:
+            head = [f"integration: {exc}"] * (prefix - 1)
+        else:
+            head = ["ok"] * (prefix - 1)
+            assert [smp.a_hat for smp in samples[:prefix - 1]] == list(a_hat[1:])
+    # later nodes keep their own failure cause, measured ones are skipped
+    tail = [cause if cause != "ok" else _BROKEN for cause in status[max(prefix, 1):]]
+    assert [smp.status for smp in samples] == head + tail
 
 
 def test_reconstruct_fit_residual_gate(monkeypatch):
@@ -503,9 +543,9 @@ def test_decay_chain_lands_each_jet_on_its_second_solve(monkeypatch):
 
 
 # the a_hat of a p_lorentz(0.2) chain (h=0.05, s=0.3, 8 radii)
-SMALL_CHAIN_A_HAT = (1.2139977022191308, 1.2139811187576153, 1.2139534906239395,
-                     1.2139148248924698, 1.2138651312717847, 1.2138044271945085,
-                     1.2137327300381167, 1.2136500634967737)
+SMALL_CHAIN_A_HAT = (1.2139977022281623, 1.2139811187937717, 1.2139534907052811,
+                     1.2139148250370428, 1.2138651314976152, 1.213804427519586,
+                     1.213732730480398, 1.2136500640741545)
 
 
 def test_small_chain_makes_no_slope_solve(monkeypatch):
