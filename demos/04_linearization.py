@@ -12,7 +12,7 @@ import numpy as np
 from qcond.conductivity import preset_p_gauss
 from qcond.forward import solve_dirichlet
 from qcond.geometry import build_disk_mesh
-from qcond.linearized import LinearizedOperator, fd_derivative_check, jacobian_check
+from qcond.linearized import FD_MIN_RATIO, LinearizedOperator, fd_derivative_check, jacobian_check
 
 cond = preset_p_gauss(0.25)
 mesh = build_disk_mesh(1.0, 0.05)
@@ -26,12 +26,10 @@ op = LinearizedOperator.at_base(cond, base)
 
 print("difference quotient (u[f+th] - u[f])/t against the linearized solve:")
 print(f"{'t':>8} {'max error':>12} {'ratio':>8}")
-rows = fd_derivative_check(base, op, h, (1e-1, 1e-2, 1e-3))
-prev = None
-for t, err in rows:
-    ratio = "" if prev is None else f"{prev / err:8.1f}"
-    print(f"{t:8.0e} {err:12.3e} {ratio:>8}")
-    prev = err
+rows, ok = fd_derivative_check(base, op, h, (1e-1, 1e-2, 1e-3))
+for t, err, ratio in rows:
+    print(f"{t:8.0e} {err:12.3e} {'' if ratio is None else f'{ratio:8.1f}':>8}")
+print(f"first order (every ratio above {FD_MIN_RATIO:g}): {ok}")
 
 errs, _ = jacobian_check(base, op)
 print(f"\nlinearized stiffness vs central differences of the residual: "

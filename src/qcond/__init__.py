@@ -15,14 +15,15 @@ from .conductivity import (ConductivitySpec, ConductivityError, ConditionReport,
                            make_preset)
 from .geometry import (BoundaryFrame, Isometry, Mesh, boundary_frame_at, build_disk_mesh,
                        normalize_above_origin, save_mesh, transform_mesh)
-from .forward import (DiscreteSolution, SolveError, boundary_jet_of, dn_map, harmonic_extension,
-                      manufactured_solution, solve_dirichlet)
+from .forward import (DiscreteSolution, SolveError, boundary_jet_of, convergence_order, dn_map,
+                      harmonic_extension, manufactured_solution, solve_dirichlet)
 from .barriers import (Barrier, JetRequest, JetResult, MarginReport, exp_barrier,
                        in_paraboloid, log_barrier, prescribe_jet, verify_one_sided)
-from .linearized import LinearizedOperator, fd_derivative_check
+from .linearized import LinearizedOperator, fd_derivative_check, jacobian_check
 from .geometric import (GeometricData, alpha_antisymmetry_residual, alpha_tensor,
-                        geometric_data, magnetic_coefficients, metric_from_linearized,
-                        normal_identity_residual, operator_equivalence_residual)
+                        dictionary_check, geometric_data, magnetic_coefficients,
+                        metric_from_linearized, normal_identity_residual,
+                        operator_equivalence_residual)
 from .halfspace import halfspace_flux_symbol
 from .recovery import (PolarGrid, RecoveryGrid, SymbolEstimate, extract_symbol,
                        measured_invariants, oscillatory_probe,

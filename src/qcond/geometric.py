@@ -12,6 +12,7 @@ obtained by least-squares patch recovery over vertex stars.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,6 @@ def alpha_tensor(A_anti: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...jk->...ij", A, g) / sqrt_g[..., None, None]
 
 
-def g_inner(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...ij,...j->...", v, g, w)
-
-
 def normal_identity_residual(aij: np.ndarray, A_anti: np.ndarray, nu: np.ndarray) -> float:
     """Residual of the boundary flux identity at one point (n = 2).
 
@@ -69,8 +66,11 @@ def normal_identity_residual(aij: np.ndarray, A_anti: np.ndarray, nu: np.ndarray
             = <sigma grad_g v + alpha . grad_g v, nu_g>_g dS_g
 
     are evaluated independently as linear functionals of grad v on the
-    Euclidean basis; the identity is exact algebra, so the residual is
-    roundoff-level when the dictionary is implemented correctly.
+    Euclidean basis; the residual is the max norm of their difference
+    over the larger functional's max norm, since a component that nearly
+    vanishes would magnify roundoff relative to itself.  The identity is
+    exact algebra, so the residual is roundoff-level when the dictionary
+    is implemented correctly.
     """
     aij = np.asarray(aij, dtype=float)
     A = np.asarray(A_anti, dtype=float)
@@ -79,16 +79,11 @@ def normal_identity_residual(aij: np.ndarray, A_anti: np.ndarray, nu: np.ndarray
     alpha = alpha_tensor(A, g)
     nu_G = G @ nu
     norm_G = float(np.sqrt(nu @ nu_G))
-    nu_g = nu_G / norm_G
     area_ratio = float(np.sqrt(np.linalg.det(g))) * norm_G     # dS_g / dS
-    worst = 0.0
-    for w in np.eye(2):
-        lhs = float(nu @ (aij + A) @ w)
-        grad_g = G @ w
-        vec = sigma * grad_g + alpha @ grad_g
-        rhs = float(g_inner(g, vec, nu_g)) * area_ratio
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
-    return worst
+    lhs = nu @ (aij + A)
+    # column j of G is grad_g of the basis gradient e_j; pair with nu_g in g
+    rhs = (sigma * G + alpha @ G).T @ g @ (nu_G / norm_G) * area_ratio
+    return float(np.abs(lhs - rhs).max() / max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-30))
 
 
 def alpha_antisymmetry_residual(rng: np.random.Generator) -> float:
@@ -261,3 +256,33 @@ def operator_equivalence_residual(mesh: Mesh, aij_field, b_field) -> float:
     num = float(np.sqrt(np.sum(w * (lhs - rhs) ** 2)))
     den = float(np.sqrt(np.sum(w * lhs ** 2)))
     return num / max(den, 1e-30)
+
+
+# dictionary_check's gate on each metric; sigma G - a_ij is reported only
+DICTIONARY_BOUNDS = {"det_G": 1e-10, "normal_identity": 1e-12, "antisymmetry": 1e-12,
+                     "operator_equivalence": 1e-2}
+
+
+def dictionary_check(mesh: Mesh, aij: np.ndarray, b: np.ndarray, rng: np.random.Generator):
+    """Metrics of the dictionary of d_i(a_ij v_j + b^i v), for symmetric
+    per-triangle ``aij`` (T, 2, 2) and ``b`` (T, 2), and whether each is
+    below its DICTIONARY_BOUNDS entry: max |det G - 1| and |sigma G - a_ij|
+    over the triangles, the worst normal_identity_residual over 100 random
+    points (S, A, nu) drawn from ``rng`` (the identity is pure algebra),
+    alpha_antisymmetry_residual of ``rng`` after them, and
+    operator_equivalence_residual."""
+    G, _, sigma = metric_from_linearized(aij)
+    worst_nid = 0.0
+    for _ in range(100):
+        B = rng.normal(size=(2, 2))
+        m = rng.normal()
+        ang = rng.uniform(0, 2 * math.pi)
+        worst_nid = max(worst_nid, normal_identity_residual(
+            B @ B.T + 0.5 * np.eye(2), np.array([[0.0, m], [-m, 0.0]]),
+            np.array([math.cos(ang), math.sin(ang)])))
+    metrics = {"det_G": float(np.abs(np.linalg.det(G) - 1.0).max()),
+               "sigma_G": float(np.abs(sigma[:, None, None] * G - aij).max()),
+               "normal_identity": worst_nid,
+               "antisymmetry": float(alpha_antisymmetry_residual(rng)),
+               "operator_equivalence": operator_equivalence_residual(mesh, aij, b)}
+    return metrics, all(metrics[k] < bound for k, bound in DICTIONARY_BOUNDS.items())

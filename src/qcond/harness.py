@@ -23,11 +23,10 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from .barriers import JetRequest, prescribe_jet
-from .conductivity import (ConductivitySpec, check_structural_conditions,
-                           evaluate_with_derivatives, linearized_matrix, make_preset)
-from .forward import _triangle_state, manufactured_solution, solve_dirichlet
-from .geometric import (alpha_antisymmetry_residual, metric_from_linearized,
-                        normal_identity_residual, operator_equivalence_residual)
+from .conductivity import ConductivitySpec, check_structural_conditions, make_preset
+from .forward import (coefficient_fields, convergence_order, manufactured_solution,
+                      solve_dirichlet)
+from .geometric import dictionary_check
 from .geometry import Mesh, boundary_frame_at, build_disk_mesh
 from .linearized import LinearizedOperator, fd_derivative_check, jacobian_check
 from .recovery import DEFAULT_LADDER, PolarGrid, RecoveryGrid, check_request, reconstruct
@@ -286,18 +285,12 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
     if stage("convergence"):
         t0 = time.perf_counter()
         hs = tuple(dict.fromkeys(tuple(cfg.convergence_h) + (cfg.h,)))
-        ustar, source = manufactured_solution(cond)
-        errs = []
-        for h in hs:
-            mm = mesh if abs(h - cfg.h) < 1e-15 else build_disk_mesh(cfg.radius, h)
-            sol = solve_dirichlet(cond, mm, ustar, source=source)
-            errs.append(float(np.abs(sol.u - ustar(mm.vertices)).max()))
-        order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-        rows = [(h, e, order) for h, e in zip(hs, errs)]
-        write_csv(out / "convergence.csv", CONVERGENCE_HEADER, rows)
-        # smoke gate only: the acceptance suite pins >= 1.9 on its mesh ladder
-        log_stage("convergence", order >= 1.6,
-                  "manufactured-solution order = "
+        meshes = [mesh if abs(h - cfg.h) < 1e-15 else build_disk_mesh(cfg.radius, h)
+                  for h in hs]
+        errs, order, ok = convergence_order(cond, meshes, *manufactured_solution(cond))
+        write_csv(out / "convergence.csv", CONVERGENCE_HEADER,
+                  [(h, e, order) for h, e in zip(hs, errs)])
+        log_stage("convergence", ok, "manufactured-solution order = "
                   f"{order:.2f} over h = {hs}", t0)
 
     # -- linearization ------------------------------------------------------
@@ -311,39 +304,24 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
         hb = np.cos(2.0 * np.arctan2(mesh.vertices[mesh.boundary_loop, 1],
                                      mesh.vertices[mesh.boundary_loop, 0]))
         op = LinearizedOperator.at_base(cond, base)
-        table = fd_derivative_check(base, op, hb, (1e-1, 1e-2, 1e-3))
+        table, fd_ok = fd_derivative_check(base, op, hb, (1e-1, 1e-2, 1e-3))
         jac_errs, jac_ok = jacobian_check(base, op)
         total_flux = float(op.dn_flux(hb).sum())
-        details = "\n".join([f"fd t={t:g}: err={e:.3e}" for t, e in table]
+        details = "\n".join([f"fd t={t:g}: err={e:.3e}"
+                             + ("" if r is None else f", ratio={r:.1f}") for t, e, r in table]
                             + ["jacobian check at eps = 1e-4, 1e-5: rel err = "
                                + ", ".join(f"{e:.2e}" for e in jac_errs),
                                f"linearized total flux = {total_flux:.2e}"])
-        ratios_ok = all(table[i][1] / table[i + 1][1] > 5.0 or table[i + 1][1] < 1e-9
-                        for i in range(len(table) - 1))
-        log_stage("linearization", ratios_ok and jac_ok, details, t0)
+        log_stage("linearization", fd_ok and jac_ok, details, t0)
 
     # -- geometric ----------------------------------------------------------
     if stage("geometric"):
         t0 = time.perf_counter()
-        ubar, gradu = _triangle_state(mesh, base.u)
-        gradu = gradu.T
-        a, a_s, gp = evaluate_with_derivatives(cond, ubar, gradu)
-        aij = linearized_matrix(a, gp, gradu)
-        G, g, sigma = metric_from_linearized(aij)
-        detG_err = float(np.abs(np.linalg.det(G) - 1.0).max())
-        sGa_err = float(np.abs(sigma[:, None, None] * G - aij).max())
-        fr = boundary_frame_at(mesh, 0.0)
-        k = int(np.argmin(np.linalg.norm(mesh.centroids - fr.x0, axis=1)))
-        mval = rng.normal()
-        nid = normal_identity_residual(aij[k], np.array([[0, mval], [-mval, 0]]), fr.nu)
-        worst_anti = alpha_antisymmetry_residual(rng)
-        opres = operator_equivalence_residual(mesh, aij, a_s[:, None] * gradu)
-        details = (f"det G err = {detG_err:.2e}, sigma*G vs a_ij = {sGa_err:.2e}\n"
-                   f"normal identity residual = {nid:.2e}\n"
-                   f"alpha antisymmetry worst = {worst_anti:.2e}\n"
-                   f"operator equivalence residual = {opres:.2e}")
-        log_stage("geometric", detG_err < 1e-10 and nid < 1e-12
-                  and worst_anti < 1e-12 and opres < 1e-2, details, t0)
+        _, _, M, w = coefficient_fields(cond, mesh, base.u)
+        # the dictionary takes the symmetric part of the flux matrix, per triangle
+        aij = 0.5 * (M + M.transpose(1, 0, 2)).transpose(2, 0, 1)
+        metrics, ok = dictionary_check(mesh, aij, w.T, rng)
+        log_stage("geometric", ok, "\n".join(f"{k} = {v:.2e}" for k, v in metrics.items()), t0)
 
     # -- jet batch ----------------------------------------------------------
     if cfg.jet_batch:

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .conductivity import ConductivitySpec
-from .forward import (DiscreteSolution, SolveError, _laplace_factor, assemble_jacobian,
+from .forward import (DiscreteSolution, _laplace_factor, assemble_jacobian,
                       assemble_linear, assemble_residual, boundary_values, factor_interior,
                       krylov_or_factor, lift, solve_dirichlet)
 from .geometry import Mesh
@@ -40,6 +40,10 @@ LINEAR_RTOL = 1e-10
 # a chain's GMRES operators start from its latest RECYCLE_DEPTH block
 # solutions
 RECYCLE_DEPTH = 3
+# fd_derivative_check passes when each error falls FD_MIN_RATIO-fold per
+# step of t (O(t) gives 10 per decade) or is below the solver's FD_FLOOR
+FD_MIN_RATIO = 5.0
+FD_FLOOR = 1e-9
 
 
 def _recycled_start(A, rhs: np.ndarray, history) -> Optional[np.ndarray]:
@@ -108,12 +112,9 @@ class LinearizedOperator:
     @classmethod
     def at_base(cls, cond: ConductivitySpec, base: DiscreteSolution,
                 history=()) -> "LinearizedOperator":
-        """Operator at a converged base, solved by GMRES on the mesh's
-        Laplace LU and started from ``history``, earlier interior block
-        solutions oldest first (a chain's).  A base that did not converge
-        is outside the solvable regime."""
-        if not base.converged:
-            raise SolveError("at_base: base solution did not converge")
+        """Operator at a base, solved by GMRES on the mesh's Laplace LU and
+        started from ``history``, earlier interior block solutions oldest
+        first (a chain's)."""
         op = cls(base.mesh, assemble_jacobian(cond, base.mesh, base.u), krylov=True)
         op._history = tuple(history)
         return op
@@ -155,20 +156,24 @@ class LinearizedOperator:
 
 
 def fd_derivative_check(base: DiscreteSolution, op: LinearizedOperator, h, t_list):
-    """Compare the linearized solution at a converged base, ``op`` being
-    its operator, against difference quotients of the forward solver.
+    """Compare the linearized solution at a base, ``op`` being its
+    operator, against difference quotients of the forward solver.
 
-    Returns a list of (t, max-norm error of (u[f+th]-u[f])/t - v); the
-    error decays O(t) down to the forward solver floor.
+    Returns rows (t, err, ratio), err being the max-norm error of
+    (u[f+th]-u[f])/t - v and ratio the previous row's err over this one's
+    (None on the first row and where err is below FD_FLOOR), and whether
+    they pass: the error decays O(t), so every ratio must exceed
+    FD_MIN_RATIO.
     """
     hb = boundary_values(base.mesh, h)
     v = op.solve(hb)
     rows = []
     for t in t_list:
         pert = solve_dirichlet(base.cond, base.mesh, base.f + t * hb, warm_start=base)
-        quot = (pert.u - base.u) / t
-        rows.append((float(t), float(np.abs(quot - v).max())))
-    return rows
+        err = float(np.abs((pert.u - base.u) / t - v).max())
+        ratio = None if not rows or err < FD_FLOOR else rows[-1][1] / err
+        rows.append((float(t), err, ratio))
+    return rows, all(r is None or r > FD_MIN_RATIO for _, _, r in rows)
 
 
 def jacobian_check(base: DiscreteSolution, op: LinearizedOperator):

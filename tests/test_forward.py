@@ -12,10 +12,10 @@ from qcond import forward
 from qcond.conductivity import (ConductivityError, ConductivitySpec, evaluate_with_derivatives,
                                 make_preset, preset_constant, preset_one_plus_s2,
                                 preset_p_gauss, preset_p_lorentz)
-from qcond.forward import (KRYLOV_MAX_ITER, SolveError, _gmres, _laplace_factor,
-                           assemble_jacobian, assemble_linear, assemble_residual,
-                           boundary_jet_of, coefficient_fields, dn_map, harmonic_extension,
-                           load_vector, manufactured_solution, solve_dirichlet)
+from qcond.forward import (KRYLOV_MAX_ITER, SolveError, _gmres, _laplace_factor, assemble_jacobian,
+                           assemble_linear, assemble_residual, boundary_jet_of, coefficient_fields,
+                           convergence_order, dn_map, harmonic_extension, load_vector,
+                           manufactured_solution, solve_dirichlet)
 from qcond.geometry import Isometry, boundary_frame_at, build_disk_mesh, transform_mesh
 from test_geometry import polygon_mesh
 
@@ -27,7 +27,6 @@ def test_affine_data_exact():
     m = build_disk_mesh(1.0, 0.1)
     sol = solve_dirichlet(C1, m, lambda x: x[:, 0])
     assert np.abs(sol.u - m.vertices[:, 0]).max() < 1e-12
-    assert sol.converged
 
 
 def test_constant_data_exact_for_state_dependent_model():
@@ -38,15 +37,16 @@ def test_constant_data_exact_for_state_dependent_model():
 
 
 def test_manufactured_convergence_order():
-    ustar, source = manufactured_solution(PG)
-    errs = []
-    hs = (0.1, 0.05)
-    for h in hs:
-        m = build_disk_mesh(1.0, h)
-        sol = solve_dirichlet(PG, m, lambda x: ustar(x), source=source)
-        errs.append(np.abs(sol.u - ustar(m.vertices)).max())
-    order = math.log2(errs[0] / errs[1])
-    assert order > 1.7, (errs, order)
+    meshes = [build_disk_mesh(1.0, h) for h in (0.1, 0.05)]
+    errs, order, ok = convergence_order(PG, meshes, *manufactured_solution(PG))
+    assert ok and order > 1.7, (errs, order)
+
+
+def test_convergence_order_fails_without_the_source():
+    # without its source u* solves another problem: the error stalls
+    meshes = [build_disk_mesh(1.0, h) for h in (0.1, 0.05)]
+    errs, order, ok = convergence_order(PG, meshes, manufactured_solution(PG)[0])
+    assert not ok, (errs, order)
 
 
 def test_dn_map_harmonic_oracles():
@@ -253,7 +253,7 @@ def test_warm_start_imposes_the_data_bitwise():
     prev = solve_dirichlet(PG, m, np.cos(2 * th))
     fb = 0.7 * np.cos(2 * th) + 0.1 * np.sin(3 * th) + 0.3
     warm = solve_dirichlet(PG, m, fb, warm_start=prev)
-    assert warm.converged and np.array_equal(warm.u[m.boundary_loop], fb)
+    assert np.array_equal(warm.u[m.boundary_loop], fb)
     # the data a solve reports is the boundary block of its u
     assert np.array_equal(warm.f, fb) and np.array_equal(prev.f, np.cos(2 * th))
 
@@ -275,7 +275,7 @@ def test_warm_start_lift_solves_affine_data_without_a_step():
     m, base, f = _neighbour_jets(cond, 0.0)
     warm = solve_dirichlet(cond, m, f, warm_start=base)
     cold = solve_dirichlet(cond, m, f)
-    assert warm.converged and warm.newton_iters == 1 and warm.krylov_iters == 0
+    assert warm.newton_iters == 1 and warm.krylov_iters == 0
     assert np.abs(warm.u - cold.u).max() <= 1e-10 * np.abs(cold.u).max()
 
 
@@ -284,7 +284,7 @@ def test_warm_start_steps_on_the_laplace_lu():
     m, base, f = _neighbour_jets(cond, 0.6)
     warm = solve_dirichlet(cond, m, f, warm_start=base)
     cold = solve_dirichlet(cond, m, f)
-    assert warm.converged and warm.newton_iters > 1
+    assert warm.newton_iters > 1
     assert warm.factorizations == 0 and warm.krylov_iters > 0
     assert np.abs(warm.u - cold.u).max() <= 1e-10 * np.abs(cold.u).max()
 
@@ -296,7 +296,7 @@ def test_cold_solve_steps_on_the_laplace_lu():
     m = build_disk_mesh(1.0, 0.05)
     th = np.arctan2(m.vertices[m.boundary_loop, 1], m.vertices[m.boundary_loop, 0])
     sol = solve_dirichlet(cond, m, 0.6 + 0.3 * np.cos(th) + 0.2 * np.sin(2 * th))
-    assert sol.converged and sol.newton_iters > 1
+    assert sol.newton_iters > 1
     assert sol.factorizations == 0 and sol.krylov_iters > 0
 
 
@@ -400,7 +400,6 @@ def test_newton_step_factors_when_the_laplace_lu_misses():
     f = np.cos(th) + 0.6 * np.sin(2 * th)
     warm = solve_dirichlet(cond, m, f, warm_start=far)
     cold = solve_dirichlet(cond, m, f)
-    assert warm.converged
     assert np.abs(warm.u - cold.u).max() <= 1e-10 * np.abs(cold.u).max()
     with pytest.raises(ValueError, match="another mesh"):
         solve_dirichlet(cond, build_disk_mesh(1.0, 0.1), lambda x: x[:, 0], warm_start=far)

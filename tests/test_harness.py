@@ -237,6 +237,21 @@ def test_linearization_and_geometric_stages_share_one_base(tmp_path, monkeypatch
     assert len(cold) == 1 and len(at_base) == 1
 
 
+@pytest.mark.parametrize("stage, check", [("convergence", "convergence_order"),
+                                          ("linearization", "fd_derivative_check"),
+                                          ("geometric", "dictionary_check")])
+def test_stage_verdict_is_the_library_verdict(tmp_path, monkeypatch, stage, check):
+    # the check keeps its metrics and reports a failure: so does the stage
+    from qcond import harness
+    real = getattr(harness, check)
+    monkeypatch.setattr(harness, check, lambda *args: (*real(*args)[:-1], False))
+    cfg = RunConfig(conductivity="p_gauss(0.25)", h=0.1, convergence_h=(0.2,),
+                    out_dir=str(tmp_path / "o"), stages=("mesh", stage))
+    report = run(cfg, echo=None)
+    assert [(s.name, s.ok) for s in report.stages] == [("mesh", True), (stage, False)]
+    assert f"[FAIL] {stage}" in (tmp_path / "o" / "report.txt").read_text()
+
+
 def test_run_stops_on_coercivity_violation(tmp_path):
     # a declared floor that is not positive is a hard structural failure
     cfg = RunConfig(conductivity="p_gauss(3.0)", h=0.1,
