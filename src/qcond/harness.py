@@ -29,7 +29,8 @@ from .forward import (coefficient_fields, convergence_order, manufactured_soluti
 from .geometric import dictionary_check
 from .geometry import Mesh, boundary_frame_at, build_disk_mesh
 from .linearized import LinearizedOperator, fd_derivative_check, jacobian_check
-from .recovery import DEFAULT_LADDER, PolarGrid, RecoveryGrid, check_request, reconstruct
+from .recovery import (DEFAULT_LADDER, SYMBOLS_HEADER, PolarGrid, RecoveryGrid, check_request,
+                       reconstruct)
 
 
 class ConfigError(ValueError):
@@ -185,8 +186,6 @@ def write_csv(path, header, rows):
 
 
 RECOVERY_HEADER = ("s", "p1", "p2", "a_hat", "a_true", "rel_err", "status")
-SYMBOLS_HEADER = ("s", "theta", "q", "real_slope", "imag_slope", "fit_residual",
-                  "parity_residual")
 CONVERGENCE_HEADER = ("h", "max_err", "order")
 
 
@@ -262,8 +261,7 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
             return report
 
     # -- mesh ---------------------------------------------------------------
-    if stage("mesh") or stage("convergence") or stage("linearization") \
-            or stage("geometric") or stage("reconstruction") or cfg.jet_batch:
+    if set(cfg.stages) - {"structural"} or cfg.jet_batch:
         t0 = time.perf_counter()
         try:
             mesh = build_disk_mesh(cfg.radius, cfg.h)

@@ -227,6 +227,14 @@ class RecoveryError(RuntimeError):
     """A measurement is inconsistent with the inversion identities."""
 
 
+# row o: the integrals over [o, o+1] of L_j (W0) and x L_j (W1), for the
+# Lagrange basis L_j on the nodes 0 .. 3 (0 .. 2: a 3-node grid's window)
+_W0_4 = np.array([[9, 19, -5, 1], [-1, 13, 13, -1], [1, -5, 19, 9]]) / 24
+_W1_4 = np.array([[38, 171, -36, 7], [-22, 261, 324, -23], [38, -189, 684, 367]]) / 360
+_W0_3 = np.array([[5, 8, -1], [-1, 8, 5]]) / 12
+_W1_3 = np.array([[3, 10, -1], [-3, 22, 17]]) / 24
+
+
 def radial_integration_recovery(q_grid, D_values) -> np.ndarray:
     """Recover a(s, q e1) from D(s, q) = det + antisym^2 measurements.
 
@@ -234,13 +242,13 @@ def radial_integration_recovery(q_grid, D_values) -> np.ndarray:
 
         a(s, q) = sqrt( integral_0^q 2 r D(s, r) dr ) / q,   a(s, 0) = sqrt(D(0)).
 
-    The cumulative integral uses composite Simpson on a uniform grid:
-    the classical pair rule at even nodes and cubic-interpolated single
-    intervals at odd nodes.  With four or more nodes every rule is exact
-    for cubic integrands 2 q D, so every node value is exact for D of
-    degree <= 2.  With three nodes the first interval falls back to a
-    quadratic rule, and node 1 is exact only for affine D.  Cubic D is
-    not exact at any length.
+    The cumulative integral is one product rule on a uniform grid of step
+    h: interval k, from q[k-1] to q[k], integrates 2 q times the cubic
+    interpolant of D on the nodes m .. m+3, m = k - 2 clipped to the grid,
+    exactly.  In x = q/h - m the factor 2 q is 2 h (m + x), so the weights
+    are m W0[o] + W1[o] at offset o = k - 1 - m.  A 3-node grid takes its
+    quadratic interpolant.  Node values are exact for cubic D (quadratic D
+    on 3 nodes).
     """
     q = np.asarray(q_grid, dtype=float)
     D = np.asarray(D_values, dtype=float)
@@ -251,29 +259,16 @@ def radial_integration_recovery(q_grid, D_values) -> np.ndarray:
         raise ValueError("radial grid must be uniform")
     if np.any(D <= 0.0):
         raise RecoveryError("nonpositive determinant measurement D; inversion invalid")
-    f = 2.0 * q * D
-    step = dq[0]
     n = len(q)
-    I = np.zeros_like(q)
-    for k in range(1, n):
-        if k >= 2 and k % 2 == 0:
-            I[k] = I[k - 2] + step * (f[k - 2] + 4.0 * f[k - 1] + f[k]) / 3.0
-        elif k == 1 and n >= 4:
-            I[1] = step * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3]) / 24.0
-        elif k == 1:
-            I[1] = step * (5.0 * f[0] + 8.0 * f[1] - f[2]) / 12.0
-        elif k + 1 < n:
-            I[k] = I[k - 1] + step * (-f[k - 2] + 13.0 * f[k - 1]
-                                      + 13.0 * f[k] - f[k + 1]) / 24.0
-        else:
-            I[k] = I[k - 1] + step * (f[k - 3] - 5.0 * f[k - 2]
-                                      + 19.0 * f[k - 1] + 9.0 * f[k]) / 24.0
-    if np.any(I[1:] <= 0.0):
+    W0, W1 = (_W0_3, _W1_3) if n == 3 else (_W0_4, _W1_4)
+    k = np.arange(1, n)
+    m = np.clip(k - 2, 0, n - W0.shape[1])
+    o = k - 1 - m
+    window = D[m[:, None] + np.arange(W0.shape[1])]
+    I = np.cumsum(2.0 * dq[0] ** 2 * np.sum((m[:, None] * W0[o] + W1[o]) * window, axis=1))
+    if np.any(I <= 0.0):
         raise RecoveryError("cumulative determinant integral lost positivity")
-    a_hat = np.empty_like(q)
-    a_hat[0] = math.sqrt(D[0])
-    a_hat[1:] = np.sqrt(I[1:]) / q[1:]
-    return a_hat
+    return np.concatenate([[math.sqrt(D[0])], np.sqrt(I) / q[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +348,11 @@ def check_request(cond: ConductivitySpec, s_grid, grid: PolarGrid, regime: str,
         raise ValueError("tau_ladder must span at least one octave")
     if regime == "decay" and cond.decay_constant is None:
         raise ValueError("decay-regime request on a model without a decay constant")
+
+
+# the columns of a symbol row, one per measured node, as _walk_chain builds it
+SYMBOLS_HEADER = ("s", "theta", "q", "real_slope", "imag_slope", "fit_residual",
+                  "parity_residual")
 
 
 def _walk_chain(cond: ConductivitySpec, mesh: Mesh, task: tuple, r_max: float,

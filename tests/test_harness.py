@@ -106,7 +106,7 @@ def test_validation_errors():
                                           "structural, mesh, convergence, linearization, "
                                           "geometric, reconstruction"):
         parse_config("stages = mesh, reconstuction")
-    # the Simpson identity needs at least 3 radial nodes
+    # the radial identity needs at least 3 radial nodes
     with pytest.raises(ConfigError, match="n_radii >= 2"):
         parse_config("n_radii = 1")
     with pytest.raises(ConfigError, match="n_directions must be at least 1"):

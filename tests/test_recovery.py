@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcond.geometry import boundary_frame_at, build_disk_mesh
 from qcond.recovery import (PolarGrid, RecoveryError, admissible_taus,
@@ -107,30 +107,68 @@ def test_radial_integration_state_only():
     assert np.abs(a_hat - aval).max() < 1e-13
 
 
-# D = c0 + c1 q + c2 q^2 stays >= 0.2 on every drawn grid; the identity
-# then gives a(q) = sqrt(c0 + 2 c1 q / 3 + c2 q^2 / 2) in closed form
-_D_COEF = dict(c0=st.floats(1.0, 2.0), c1=st.floats(-0.3, 0.3),
+# D = c0 + c1 q + c2 q^2 + c3 q^3 stays >= 0.03 on every drawn grid; the
+# identity then gives a(q) = sqrt(c0 + 2 c1 q / 3 + c2 q^2 / 2 + 2 c3 q^3 / 5)
+_D_COEF = dict(c0=st.floats(1.0, 2.0), c1=st.floats(-0.3, 0.3), c2=st.floats(-0.3, 0.3),
                q_max=st.floats(0.05, 1.2))
 
 
-def _radial_rel_err(n, q_max, c0, c1, c2):
+def _radial_rel_err(n, q_max, c0, c1, c2, c3=0.0):
     q = np.linspace(0.0, q_max, n)
-    exact = np.sqrt(c0 + 2.0 * c1 * q / 3.0 + 0.5 * c2 * q * q)
-    a_hat = radial_integration_recovery(q, c0 + c1 * q + c2 * q * q)
+    exact = np.sqrt(c0 + 2.0 * c1 * q / 3.0 + 0.5 * c2 * q * q + 0.4 * c3 * q ** 3)
+    a_hat = radial_integration_recovery(q, c0 + c1 * q + c2 * q * q + c3 * q ** 3)
     return float(np.abs(a_hat / exact - 1.0).max())
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(4, 40), c2=st.floats(-0.3, 0.3), **_D_COEF)
-def test_radial_integration_exact_for_quadratic_D(n, q_max, c0, c1, c2):
-    # both parities of n: the even-n end rule and the odd-n Simpson pairs
-    assert _radial_rel_err(n, q_max, c0, c1, c2) <= 1e-12
+@given(n=st.integers(4, 40), c3=st.floats(-0.1, 0.1), **_D_COEF)
+def test_radial_integration_exact_for_cubic_D(n, q_max, c0, c1, c2, c3):
+    # first, interior and last windows, at every n
+    assert _radial_rel_err(n, q_max, c0, c1, c2, c3) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(**_D_COEF)
-def test_radial_integration_three_nodes_exact_for_affine_D(q_max, c0, c1):
-    assert _radial_rel_err(3, q_max, c0, c1, 0.0) <= 1e-12
+# D = (1, 0.25, 1) on q = (0, 0.15, 0.3), a = (1, sqrt(3/8), sqrt(1/2)):
+# the Newton-Cotes weights (5, 8, -1)/12 on the integrand 2 q D give a
+# zero integral at node 1
+@example(q_max=0.3, c0=1.0, c1=-10.0, c2=100.0 / 3.0)
+def test_radial_integration_three_nodes_exact_for_quadratic_D(q_max, c0, c1, c2):
+    assert _radial_rel_err(3, q_max, c0, c1, c2) <= 1e-12
+
+
+def _lagrange_integrals(width):
+    """Exact integrals over [o, o+1] of L_j and of x L_j, for the Lagrange
+    basis L_j on the nodes 0 .. width-1."""
+    from fractions import Fraction
+
+    def times(poly, root):       # poly * (x - root), coefficients low to high
+        return [b - root * a for a, b in zip(poly + [0], [0] + poly)]
+
+    def integral(poly, o):
+        return sum(c * Fraction((o + 1) ** (e + 1) - o ** (e + 1), e + 1)
+                   for e, c in enumerate(poly))
+
+    W0, W1 = [], []
+    for o in range(width - 1):
+        row0, row1 = [], []
+        for j in range(width):
+            L = [Fraction(1)]
+            for i in range(width):
+                if i != j:
+                    L = [c / (j - i) for c in times(L, i)]
+            row0.append(float(integral(L, o)))
+            row1.append(float(integral([0] + L, o)))
+        W0.append(row0)
+        W1.append(row1)
+    return W0, W1
+
+
+def test_radial_integration_weight_tables():
+    import qcond.recovery as R
+    for width, W0, W1 in ((3, R._W0_3, R._W1_3), (4, R._W0_4, R._W1_4)):
+        exact0, exact1 = _lagrange_integrals(width)
+        assert W0.tolist() == exact0 and W1.tolist() == exact1
 
 
 def test_radial_integration_flags_bad_measurements():
@@ -278,6 +316,7 @@ def _invert_synthetic(q, D, status):
 _JET, _STALL = "jet: target normal slope 2 outside achieved interval [0, 1]", "SolveError: x"
 _BROKEN = "skipped: radial chain broken earlier"
 _NEGATIVE = "integration: nonpositive determinant measurement D; inversion invalid"
+_LOST = "integration: cumulative determinant integral lost positivity"
 
 
 @pytest.mark.parametrize("D,status,expect", [
@@ -292,7 +331,11 @@ _NEGATIVE = "integration: nonpositive determinant measurement D; inversion inval
      ["skipped: fewer than 3 nodes before the first failure", _JET, _BROKEN, _BROKEN]),
     # a negative D fails the inverted prefix only: node 4 failed on its own
     ([1, -1, 1, 1, None], ["ok"] * 4 + [_STALL], [_NEGATIVE] * 3 + [_STALL]),
-], ids=["all_ok", "break_at_3", "break_at_3_then_fail", "break_at_2", "negative_D"])
+    # a positive D whose first-interval integral is not: the cubic
+    # interpolant of D dips below zero between nodes 0 and 1
+    ([0.01, 0.01, 1, 0.01, None], ["ok"] * 4 + [_STALL], [_LOST] * 3 + [_STALL]),
+], ids=["all_ok", "break_at_3", "break_at_3_then_fail", "break_at_2", "negative_D",
+        "lost_positivity"])
 def test_invert_chain_status_rules(D, status, expect):
     # synthetic walk records of constant(1), where D = 1 inverts to a = 1
     D = np.array([np.nan if d is None else d for d in D], dtype=float)
@@ -351,8 +394,9 @@ def test_reconstruct_fit_residual_gate(monkeypatch):
     grid = R.reconstruct(preset_p_lorentz(0.2), build_disk_mesh(1.0, 0.1), (0.0,),
                          PolarGrid(n_directions=1, n_radii=2), tau_ladder=(2.0, 4.0))
     assert len(grid.samples) == 2 and len(grid.symbol_rows) == 3
+    fit = R.SYMBOLS_HEADER.index("fit_residual")
     for s, row in zip(grid.samples, grid.symbol_rows[1:]):
-        assert s.status == f"symbol: fit residual {row[5]:.3e}"
+        assert s.status == f"symbol: fit residual {row[fit]:.3e}"
         assert np.isnan(s.a_hat) and s.rel_err is None
 
 
@@ -485,9 +529,9 @@ def test_reconstruct_records_jet_outside_bracket(monkeypatch, regime):
 # the a_hat of each chain below from probe blocks solved cold, before the
 # chain recycled its probe solutions
 COLD_START_A_HAT = {
-    "p_lorentz(0.2)": (1.2139977022147657, 1.213981118757949, 1.2139534906247418,
-                       1.2139148248933649, 1.213865131275128, 1.2138044272012658,
-                       1.2137327300435168, 1.2136500634994096),
+    "p_lorentz(0.2)": (1.2139976986600831, 1.2139811184189724, 1.2139534909222547,
+                       1.21391482458176, 1.2138651314562034, 1.2138044270562542,
+                       1.2137327303218504, 1.2136500637112662),
     "s_gauss(0.25)": (1.2428183424181063, 1.2428182975783246, 1.2428182632611744,
                       1.242818239466128, 1.2428182261924439, 1.242818223438921,
                       1.2428182312042848, 1.2428182494866582),
@@ -543,9 +587,9 @@ def test_decay_chain_lands_each_jet_on_its_second_solve(monkeypatch):
 
 
 # the a_hat of a p_lorentz(0.2) chain (h=0.05, s=0.3, 8 radii)
-SMALL_CHAIN_A_HAT = (1.2139977022281623, 1.2139811187937717, 1.2139534907052811,
-                     1.2139148250370428, 1.2138651314976152, 1.213804427519586,
-                     1.213732730480398, 1.2136500640741545)
+SMALL_CHAIN_A_HAT = (1.2139976986617511, 1.213981118418355, 1.2139534909211382,
+                     1.2139148245805929, 1.213865131452733, 1.2138044270491364,
+                     1.2137327303160135, 1.2136500637085503)
 
 
 def test_small_chain_makes_no_slope_solve(monkeypatch):
