@@ -25,7 +25,7 @@ from .geometric import (GeometricData, alpha_antisymmetry_residual, alpha_tensor
                         metric_from_linearized, normal_identity_residual,
                         operator_equivalence_residual)
 from .halfspace import halfspace_flux_symbol
-from .recovery import (PolarGrid, RecoveryGrid, SymbolEstimate, extract_symbol,
+from .recovery import (ChainRecord, PolarGrid, RecoveryGrid, SymbolEstimate, extract_symbol,
                        measured_invariants, oscillatory_probe,
                        radial_integration_recovery, reconstruct,
                        recover_from_tangential_matrix, spectrum_of_recovery_matrix)

@@ -47,10 +47,8 @@ class ConductivitySpec:
     fn : callable
         ``fn(s, p) -> a`` with ``s`` of shape (...,) and ``p`` of shape
         (..., 2); must vectorize over leading axes.
-    grad : callable, optional
-        ``grad(s, p) -> (a_s, grad_p_a)`` in closed form.  When absent,
-        central finite differences with step ``fd_step * (1 + |p|)`` are
-        used (error O(step^2)).
+    grad : callable
+        ``grad(s, p) -> (a_s, grad_p_a)`` in closed form.
     lambda0 : callable
         Non-increasing coercivity floor, a function of |s|.
     mu0 : callable
@@ -63,11 +61,10 @@ class ConductivitySpec:
 
     name: str
     fn: Callable
-    grad: Optional[Callable] = None
+    grad: Callable
     lambda0: Callable = lambda t: 1.0
     mu0: Callable = lambda t: 1.0
     decay_constant: Optional[float] = None
-    fd_step: float = 1e-4
 
     def __call__(self, s, p):
         return self.fn(*_as_sp(s, p))
@@ -76,25 +73,14 @@ class ConductivitySpec:
 def evaluate_with_derivatives(cond: ConductivitySpec, s, p):
     """Evaluate (a, a_s, grad_p a) at (s, p), vectorized over leading axes.
 
-    Falls back to central finite differences when the model carries no
-    closed-form gradient.  Non-finite output raises ConductivityError.
+    The derivatives are the model's closed-form ``grad``.  Non-finite
+    output raises ConductivityError.
     """
     s, p = _as_sp(s, p)
     a = cond.fn(s, p)
-    if cond.grad is not None:
-        a_s, gp = cond.grad(s, p)
-        a_s = np.broadcast_to(np.asarray(a_s, dtype=float), np.shape(a))
-        gp = np.broadcast_to(np.asarray(gp, dtype=float), np.shape(p))
-    else:
-        with np.errstate(invalid="ignore", over="ignore"):
-            hs = cond.fd_step * (1.0 + np.abs(s))
-            a_s = (cond.fn(s + hs, p) - cond.fn(s - hs, p)) / (2.0 * hs)
-            hp = cond.fd_step * (1.0 + np.linalg.norm(p, axis=-1))
-            gp = np.empty_like(p)
-            for k in range(p.shape[-1]):
-                dp = np.zeros_like(p)
-                dp[..., k] = hp
-                gp[..., k] = (cond.fn(s, p + dp) - cond.fn(s, p - dp)) / (2.0 * hp)
+    a_s, gp = cond.grad(s, p)
+    a_s = np.broadcast_to(np.asarray(a_s, dtype=float), np.shape(a))
+    gp = np.broadcast_to(np.asarray(gp, dtype=float), np.shape(p))
     _reject_nonfinite(cond, s, p, np.isfinite(a) & np.isfinite(a_s)
                       & np.all(np.isfinite(gp), axis=-1))
     return np.asarray(a, dtype=float), np.asarray(a_s, dtype=float), gp

@@ -29,8 +29,7 @@ from .forward import (coefficient_fields, convergence_order, manufactured_soluti
 from .geometric import dictionary_check
 from .geometry import Mesh, boundary_frame_at, build_disk_mesh
 from .linearized import LinearizedOperator, fd_derivative_check, jacobian_check
-from .recovery import (DEFAULT_LADDER, SYMBOLS_HEADER, PolarGrid, RecoveryGrid, check_request,
-                       reconstruct)
+from .recovery import DEFAULT_LADDER, PolarGrid, RecoveryGrid, check_request, reconstruct
 
 
 class ConfigError(ValueError):
@@ -173,9 +172,10 @@ class RunReport:
 
 
 def _fmt(x) -> str:
+    """One CSV field; a comma in a string field becomes a semicolon."""
     if isinstance(x, float):
         return repr(float(x))
-    return str(x)
+    return str(x).replace(",", ";")
 
 
 def write_csv(path, header, rows):
@@ -186,14 +186,23 @@ def write_csv(path, header, rows):
 
 
 RECOVERY_HEADER = ("s", "p1", "p2", "a_hat", "a_true", "rel_err", "status")
+SYMBOLS_HEADER = ("s", "theta", "q", "real_slope", "imag_slope", "fit_residual",
+                  "parity_residual")
 CONVERGENCE_HEADER = ("h", "max_err", "order")
 
 
 def recovery_rows(grid: RecoveryGrid):
     for smp in grid.samples:
         yield (smp.s, float(smp.p[0]), float(smp.p[1]), smp.a_hat, smp.a_true,
-               smp.rel_err if smp.rel_err is not None else math.nan,
-               smp.status.replace(",", ";"))
+               smp.rel_err if smp.rel_err is not None else math.nan, smp.status)
+
+
+def symbol_rows(grid: RecoveryGrid):
+    for chain in grid.chains:
+        for qv, sym in zip(chain.q, chain.symbols):
+            if sym is not None:
+                yield (chain.s, chain.theta, float(qv), sym.real_slope, sym.imag_slope,
+                       sym.fit_residual, sym.parity_residual)
 
 
 def run_jet_batch(cond: ConductivitySpec, mesh: Mesh, path):
@@ -217,10 +226,10 @@ def run_jet_batch(cond: ConductivitySpec, mesh: Mesh, path):
             res = prescribe_jet(cond, mesh, req)
             rows.append((theta, s, p1, p2, regime, res.achieved_s,
                          float(res.achieved_p[0]), float(res.achieved_p[1]),
-                         res.solves, "ok" if res.ok else res.message.replace(",", ";")))
+                         res.solves, "ok" if res.ok else res.message))
         except (ValueError, RuntimeError) as exc:
             rows.append((theta, s, p1, p2, regime, math.nan, math.nan, math.nan, 0,
-                         f"{type(exc).__name__}: {exc}".replace(",", ";")))
+                         f"{type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -357,6 +366,6 @@ def run(cfg: RunConfig, echo=print) -> RunReport:
 def _write_outputs(out: Path, report: RunReport, grid: Optional[RecoveryGrid]):
     if grid is not None:
         write_csv(out / "recovery.csv", RECOVERY_HEADER, recovery_rows(grid))
-        write_csv(out / "symbols.csv", SYMBOLS_HEADER, grid.symbol_rows)
+        write_csv(out / "symbols.csv", SYMBOLS_HEADER, symbol_rows(grid))
     (out / "report.txt").write_text(report.to_text())
 

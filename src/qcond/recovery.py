@@ -8,8 +8,8 @@ component.  The inversion side turns the two into a(s, p) pointwise:
 matrix recovery from the tangential block for n >= 3 (pure linear
 algebra), a radial integration identity for n = 2.  ``reconstruct``
 walks each chain (a state value and a boundary direction) on a thread
-pool, measuring at jets along a radial grid, and then inverts each
-chain's record alone, in task order.
+pool, measuring at jets along a radial grid into a ChainRecord, and then
+inverts each chain's record alone, in task order.
 """
 
 from __future__ import annotations
@@ -293,14 +293,27 @@ class RecoverySample:
     a_true: float
     rel_err: Optional[float]
     status: str
+
+
+@dataclass
+class ChainRecord:
+    """A walked chain (s, theta): per node of the radial grid q, the
+    measured D = det + antisym^2 (NaN at a failed node), the node status,
+    and the symbol fit (None where the node failed before its fit)."""
+    s: float
     theta: float
+    frame: BoundaryFrame
+    q: np.ndarray
+    D: np.ndarray
+    status: list
+    symbols: list
 
 
 @dataclass
 class RecoveryGrid:
     samples: list
     pi_profile: dict
-    symbol_rows: list = field(default_factory=list)   # (s, theta, q, slopes, diagnostics)
+    chains: list          # one ChainRecord per (s, theta) task, in task order
 
     def rel_errors(self) -> np.ndarray:
         return np.array([x.rel_err for x in self.samples
@@ -350,11 +363,6 @@ def check_request(cond: ConductivitySpec, s_grid, grid: PolarGrid, regime: str,
         raise ValueError("decay-regime request on a model without a decay constant")
 
 
-# the columns of a symbol row, one per measured node, as _walk_chain builds it
-SYMBOLS_HEADER = ("s", "theta", "q", "real_slope", "imag_slope", "fit_residual",
-                  "parity_residual")
-
-
 def _walk_chain(cond: ConductivitySpec, mesh: Mesh, task: tuple, r_max: float,
                 n_radii: int, regime: str, taus: list, progress: Optional[Callable]):
     """Measure chain task = (s, theta) node by node along q in [0, r_max].
@@ -364,14 +372,13 @@ def _walk_chain(cond: ConductivitySpec, mesh: Mesh, task: tuple, r_max: float,
     gives a linearized operator and a symbol fit; a failure becomes the
     node's status.  Every node probes the same block, so each operator
     starts its GMRES from the chain's last RECYCLE_DEPTH probe solutions.
-    Returns (frame, q grid, D, statuses, symbol rows), D = det + antisym^2
-    being NaN at failed nodes.
+    Returns the chain's ChainRecord.
     """
     s, theta = task
     frame = boundary_frame_at(mesh, theta)
     q_grid = np.linspace(0.0, r_max, n_radii + 1)
     D, status = np.full(len(q_grid), np.nan), ["ok"] * len(q_grid)
-    symrows, t_hist, prev, op = [], [], None, None
+    symbols, t_hist, prev, op = [None] * len(q_grid), [], None, None
     probe_hist = deque(maxlen=RECYCLE_DEPTH)
     for k, qv in enumerate(q_grid):
         try:
@@ -395,8 +402,7 @@ def _walk_chain(cond: ConductivitySpec, mesh: Mesh, task: tuple, r_max: float,
             sym = extract_symbol(op.dn_flux, mesh, frame, taus)
             # before the next jet's slope solve overwrites op.solution
             probe_hist.append(op.solution)
-            symrows.append((s, theta, float(qv), sym.real_slope, sym.imag_slope,
-                            sym.fit_residual, sym.parity_residual))
+            symbols[k] = sym
             if not sym.reliable:
                 status[k] = f"symbol: fit residual {sym.fit_residual:.3e}"
                 continue
@@ -406,19 +412,19 @@ def _walk_chain(cond: ConductivitySpec, mesh: Mesh, task: tuple, r_max: float,
             status[k] = f"{type(exc).__name__}: {exc}"
     if progress is not None:
         progress(task)
-    return frame, q_grid, D, status, symrows
+    return ChainRecord(s=s, theta=theta, frame=frame, q=q_grid, D=D, status=status,
+                       symbols=symbols)
 
 
-def _invert_chain(cond: ConductivitySpec, task: tuple, frame: BoundaryFrame,
-                  q_grid: np.ndarray, D: np.ndarray, status: list) -> list:
+def _invert_chain(cond: ConductivitySpec, chain: ChainRecord) -> list:
     """The samples of a walked chain but its q = 0 node, which every
     direction repeats.  The radial identity only needs a prefix: the nodes
     before the first failure are inverted, the rest skipped.  a_hat is
     finite exactly when the status is "ok"."""
-    s, theta = task
+    s, q_grid, D = chain.s, chain.q, chain.D
     prefix = next((k for k, d in enumerate(D) if not np.isfinite(d)), len(D))
     status = [st if k < prefix or st != "ok" else "skipped: radial chain broken earlier"
-              for k, st in enumerate(status)]
+              for k, st in enumerate(chain.status)]
     a_hat = np.full(len(q_grid), np.nan)
     if prefix < 3:
         status[:prefix] = ["skipped: fewer than 3 nodes before the first failure"] * prefix
@@ -429,11 +435,11 @@ def _invert_chain(cond: ConductivitySpec, task: tuple, frame: BoundaryFrame,
             status[:prefix] = [f"integration: {exc}"] * prefix
     out = []
     for qv, a, st in zip(q_grid[1:], a_hat[1:], status[1:]):
-        p_vec = qv * frame.tau
+        p_vec = qv * chain.frame.tau
         a_true = float(cond(s, p_vec))
         rel = abs(a - a_true) / a_true if (st == "ok" and a_true) else None
         out.append(RecoverySample(s=s, p=p_vec, a_hat=float(a), a_true=a_true, rel_err=rel,
-                                  status=st, theta=theta))
+                                  status=st))
     return out
 
 
@@ -444,8 +450,9 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
 
     Each (s, direction) pair is a chain.  A pool of ``jobs`` threads walks
     the chains, measuring the symbol invariants at jets of vanishing normal
-    slope along a radial grid, and calls ``progress(task)`` as each walk
-    ends; then each chain's radial identity is inverted, in task order.
+    slope along a radial grid into one ChainRecord each (the grid's
+    ``chains``), and calls ``progress(task)`` as each walk ends; then each
+    record's radial identity is inverted, in task order.
     Per-sample failures are recorded and skipped.  Every sample is scored
     against ``cond`` itself (``a_true``, ``rel_err``): a run reconstructs
     a known model.  The jet radius pi(s) is jet_radius's at pi1 = 1, N = 10.
@@ -463,9 +470,7 @@ def reconstruct(cond: ConductivitySpec, mesh: Mesh, s_grid, grid: PolarGrid, *,
     # Laplace LU: build both before any chain, so no chain writes to the mesh
     _laplace_factor(mesh)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        records = list(pool.map(lambda task: _walk_chain(
+        chains = list(pool.map(lambda task: _walk_chain(
             cond, mesh, task, r_max[task[0]], grid.n_radii, regime, taus, progress), tasks))
-    samples = [smp for task, (*chain, _) in zip(tasks, records)
-               for smp in _invert_chain(cond, task, *chain)]
-    return RecoveryGrid(samples=samples, pi_profile=pi_profile,
-                        symbol_rows=[row for *_, rows in records for row in rows])
+    samples = [smp for chain in chains for smp in _invert_chain(cond, chain)]
+    return RecoveryGrid(samples=samples, pi_profile=pi_profile, chains=chains)

@@ -8,8 +8,8 @@ import pytest
 
 from qcond.conductivity import preset_p_gauss
 from qcond.geometry import build_disk_mesh
-from qcond.harness import (ConfigError, RunConfig, load_config, parse_config, run,
-                           run_jet_batch, validate_config, write_csv)
+from qcond.harness import (SYMBOLS_HEADER, ConfigError, RunConfig, load_config, parse_config,
+                           run, run_jet_batch, validate_config, write_csv)
 from qcond.recovery import RecoveryGrid, RecoverySample
 
 
@@ -162,8 +162,8 @@ def test_error_stats_exact_and_scaled():
             a = float(pg(s, p))
             a_hat = a * scale
             samples.append(RecoverySample(s=s, p=p, a_hat=a_hat, a_true=a,
-                                          rel_err=abs(a_hat - a) / a, status="ok", theta=0.0))
-        return RecoveryGrid(samples=samples, pi_profile={})
+                                          rel_err=abs(a_hat - a) / a, status="ok"))
+        return RecoveryGrid(samples=samples, pi_profile={}, chains=[])
 
     stats = grid(1.0).error_stats()
     assert stats["max_rel_err"] == 0.0 and stats["n_failed"] == 0
@@ -198,6 +198,9 @@ def test_run_deterministic_outputs(tmp_path):
         outs.append({name: (tmp_path / f"run{k}" / name).read_bytes()
                      for name in ("recovery.csv", "symbols.csv")})
     assert outs[0] == outs[1]
+    # one symbol row per node, 2 chains x 3 nodes, each with every column
+    rows = outs[0]["symbols.csv"].decode().splitlines()[1:]
+    assert len(rows) == 6 and all(len(r.split(",")) == len(SYMBOLS_HEADER) for r in rows)
 
 
 def test_run_reports_a_mesh_too_coarse_for_the_ladder(tmp_path):
@@ -331,10 +334,10 @@ def test_cli_check_runs_the_structural_stage_only(tmp_path):
 
 
 def test_write_csv_schema(tmp_path):
-    write_csv(tmp_path / "t.csv", ("a", "b"), [(1.0, "x"), (2.5, "y")])
+    write_csv(tmp_path / "t.csv", ("a", "b"), [(1.0, "x"), (2.5, "y, z")])
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert lines[0] == "a,b"
-    assert lines[1] == "1.0,x"
+    assert lines[1:] == ["1.0,x", "2.5,y; z"]
 
 
 def test_cli_round_trip(tmp_path):
@@ -371,7 +374,10 @@ def test_reconstruct_jobs_deterministic():
     from qcond.recovery import PolarGrid, reconstruct
 
     def samples(grid):
-        return [(s.s, tuple(s.p), s.a_hat, s.status) for s in grid.samples]
+        # and the chain records; D by its bytes, so NaN compares equal
+        return ([(s.s, tuple(s.p), s.a_hat, s.status) for s in grid.samples],
+                [(c.D.tobytes(), c.status, [y and (y.real_slope, y.imag_slope, y.fit_residual)
+                                            for y in c.symbols]) for c in grid.chains])
 
     # warm cache: the jobs=1 run fills the shared mesh cache first
     mesh = build_disk_mesh(1.0, 0.05)

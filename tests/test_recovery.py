@@ -285,6 +285,13 @@ def test_reconstruct_salvages_radial_prefix():
     assert all(np.isfinite(s.a_hat) for s in ok)
     assert all(s.status.startswith("ValueError: jet outside the small-gradient radius: |p|=")
                and np.isnan(s.a_hat) for s in bad)
+    # one record per task; D is measured exactly where the walk says "ok",
+    # and a node whose jet failed, before its symbol fit, has no symbol
+    chain, = grid.chains
+    assert (chain.s, chain.theta) == (0.0, 0.0)
+    assert [np.isfinite(d) for d in chain.D] == [st == "ok" for st in chain.status]
+    assert [sym is None for sym in chain.symbols] == [
+        st.startswith("ValueError: jet outside") for st in chain.status]
 
 
 def test_reconstruct_names_the_cause_of_a_short_prefix():
@@ -307,10 +314,11 @@ def _invert_synthetic(q, D, status):
     """_invert_chain of a walk record of constant(1) along e2 at s = 0."""
     from qcond.conductivity import preset_constant
     from qcond.geometry import BoundaryFrame
-    from qcond.recovery import _invert_chain
+    from qcond.recovery import ChainRecord, _invert_chain
     frame = BoundaryFrame(x0=np.array([1.0, 0.0]), nu=np.array([1.0, 0.0]),
                           tau=np.array([0.0, 1.0]), theta=0.0, vertex=0, loop_pos=0)
-    return _invert_chain(preset_constant(1.0), (0.0, 0.0), frame, q, D, status)
+    return _invert_chain(preset_constant(1.0), ChainRecord(
+        s=0.0, theta=0.0, frame=frame, q=q, D=D, status=status, symbols=[None] * len(q)))
 
 
 _JET, _STALL = "jet: target normal slope 2 outside achieved interval [0, 1]", "SolveError: x"
@@ -385,18 +393,24 @@ def test_invert_chain_status_property(nodes):
     assert [smp.status for smp in samples] == head + tail
 
 
+def _one_chain(R, model, regime="small"):
+    """One chain of 2 radii at h = 0.1 (to r_max = 2 in the decay regime)."""
+    from qcond.conductivity import make_preset
+    r_max = 2.0 if regime == "decay" else None
+    return R.reconstruct(make_preset(model), build_disk_mesh(1.0, 0.1), (0.0,),
+                         PolarGrid(n_directions=1, n_radii=2, r_max=r_max), regime=regime,
+                         tau_ladder=(2.0, 4.0))
+
+
 def test_reconstruct_fit_residual_gate(monkeypatch):
     # with a zero threshold no fit is reliable: every node records its
     # fit residual and no sample is recovered
     import qcond.recovery as R
-    from qcond.conductivity import preset_p_lorentz
     monkeypatch.setattr(R, "FIT_THRESHOLD", 0.0)
-    grid = R.reconstruct(preset_p_lorentz(0.2), build_disk_mesh(1.0, 0.1), (0.0,),
-                         PolarGrid(n_directions=1, n_radii=2), tau_ladder=(2.0, 4.0))
-    assert len(grid.samples) == 2 and len(grid.symbol_rows) == 3
-    fit = R.SYMBOLS_HEADER.index("fit_residual")
-    for s, row in zip(grid.samples, grid.symbol_rows[1:]):
-        assert s.status == f"symbol: fit residual {row[fit]:.3e}"
+    grid = _one_chain(R, "p_lorentz(0.2)")
+    assert len(grid.samples) == 2
+    for s, sym in zip(grid.samples, grid.chains[0].symbols[1:], strict=True):
+        assert s.status == f"symbol: fit residual {sym.fit_residual:.3e}"
         assert np.isnan(s.a_hat) and s.rel_err is None
 
 
@@ -463,7 +477,6 @@ def test_reconstruct_records_integration_failure(monkeypatch):
     # a nonpositive D at one node invalidates the whole radial inversion:
     # every sample of the chain records it and none is recovered
     import qcond.recovery as R
-    from qcond.conductivity import preset_p_lorentz
     measured = R.measured_invariants
     calls = []
 
@@ -473,20 +486,12 @@ def test_reconstruct_records_integration_failure(monkeypatch):
         return (-1.0 - anti ** 2, anti) if len(calls) == 2 else (det, anti)
 
     monkeypatch.setattr(R, "measured_invariants", negative_at_second_node)
-    grid = R.reconstruct(preset_p_lorentz(0.2), build_disk_mesh(1.0, 0.1), (0.0,),
-                         PolarGrid(n_directions=1, n_radii=2), tau_ladder=(2.0, 4.0))
+    grid = _one_chain(R, "p_lorentz(0.2)")
     assert len(calls) == 3 and len(grid.samples) == 2
     for s in grid.samples:
         assert s.status == ("integration: nonpositive determinant measurement D; "
                             "inversion invalid")
         assert np.isnan(s.a_hat) and s.rel_err is None
-
-
-def _decay_chain(R):
-    from qcond.conductivity import make_preset
-    return R.reconstruct(make_preset("decay_mix(0.2,0.05,0.1)"), build_disk_mesh(1.0, 0.1),
-                         (0.0,), PolarGrid(n_directions=1, n_radii=2, r_max=2.0),
-                         regime="decay", tau_ladder=(2.0, 4.0))
 
 
 def test_reconstruct_records_newton_stall(monkeypatch):
@@ -497,7 +502,7 @@ def test_reconstruct_records_newton_stall(monkeypatch):
     solve = B.solve_dirichlet
     monkeypatch.setattr(B, "solve_dirichlet",
                         lambda *args, **kwargs: solve(*args, **{**kwargs, "max_iter": 1}))
-    grid = _decay_chain(R)
+    grid = _one_chain(R, "decay_mix(0.2,0.05,0.1)", "decay")
     assert len(grid.samples) == 2
     for s in grid.samples:
         assert s.status.startswith("SolveError: Newton stalled after 1 iterations, residual ")
@@ -509,16 +514,12 @@ def test_reconstruct_records_jet_outside_bracket(monkeypatch, regime):
     # one solve per jet (in the small regime at the bracket's upper end)
     # cannot bracket the target slope: every sample records that
     import qcond.recovery as R
-    from qcond.conductivity import preset_p_gauss
     prescribe = R.prescribe_jet
     cut = {"max_solves": 1} if regime == "decay" else {"max_solves": 1, "t_hint": 1e3}
     monkeypatch.setattr(R, "prescribe_jet",
                         lambda *args, **kwargs: prescribe(*args, **{**kwargs, **cut}))
-    if regime == "decay":
-        grid = _decay_chain(R)
-    else:
-        grid = R.reconstruct(preset_p_gauss(0.25), build_disk_mesh(1.0, 0.1), (0.0,),
-                             PolarGrid(n_directions=1, n_radii=2), tau_ladder=(2.0, 4.0))
+    grid = _one_chain(R, "decay_mix(0.2,0.05,0.1)" if regime == "decay" else "p_gauss(0.25)",
+                      regime)
     assert len(grid.samples) == 2
     for s in grid.samples:
         assert re.fullmatch(r"jet: target normal slope \S+ outside achieved interval "
